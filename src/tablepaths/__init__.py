@@ -14,13 +14,9 @@ from .core import (
     CountMatrix,
     LatticeWord,
     TableDims,
-    letter_count,
     row_trace,
 )
 from .dp import (
-    CONFINED,
-    UNBOUNDED,
-    BoundaryMode,
     a_table,
     bounded_pair_count,
     d1_bottom_row,
@@ -33,7 +29,6 @@ from .dp import (
     imn_sequence,
 )
 from .formulas import (
-    BinomialTable,
     a_closed,
     binomial,
     catalan_number,

@@ -72,13 +72,6 @@ class LatticeWord:
         return len(self.letters)
 
 
-def letter_count(word: LatticeWord, letter: str) -> int:
-    """Number of occurrences of ``letter`` in the word."""
-    if letter not in STEP_RISE:
-        raise ValueError(f"unknown step letter {letter!r}")
-    return word.letters.count(letter)
-
-
 def row_trace(word: LatticeWord) -> tuple[int, ...]:
     """Visited rows r_0..r_k, one entry per column the word touches."""
     rows = [word.start_row]

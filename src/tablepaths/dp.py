@@ -12,27 +12,7 @@ virtual rows 0 and rows+1 are never stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import Cell, CountMatrix, TableDims
-
-
-@dataclass(frozen=True)
-class BoundaryMode:
-    """Which walls confine the row coordinate.
-
-    Both flags on: rows clipped to [1, rows].  Both off: unbounded
-    height; callers size the row window so a wall can never be reached
-    (a y-step walk stays within y rows of its start), which keeps one
-    advance routine exact for both modes.
-    """
-
-    floor_at_1: bool = True
-    ceiling_at_m: bool = True
-
-
-CONFINED = BoundaryMode()
-UNBOUNDED = BoundaryMode(floor_at_1=False, ceiling_at_m=False)
 
 
 def _advance3(col: list[int]) -> list[int]:
@@ -180,10 +160,11 @@ def d1_bottom_row(rows: int, max_cols: int) -> list[int]:
 
 def free_count(net: int, steps: int) -> int:
     """Number of step words of the given length with a fixed net rise,
-    with no walls (BoundaryMode unbounded).
+    with no walls.
 
-    Runs the same advance routine over a window of rows [-steps, steps]
-    around the start, which no walk of that length can leave.
+    Runs the same confined advance routine over a window of rows
+    [-steps, steps] around the start, which no walk of that length can
+    leave, so its walls never bind.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")

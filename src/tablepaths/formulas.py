@@ -13,10 +13,16 @@ confirm and document their failure with a concrete counterexample.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from . import dp
-from .core import Cell, TableDims
+from .core import Cell, CountMatrix, TableDims
+
+# Engine tables kept per family.  An identity grid asks for the same
+# (rows, cols) at many points, about one width per column at each
+# height; the bound keeps that working set and caps the memory held.
+_TABLE_CACHE_SIZE = 128
 
 
 def binomial(n: int, k: int) -> int:
@@ -26,33 +32,16 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-class BinomialTable:
-    """Dense Pascal triangle for rows 0..max_n.
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _d1_table(rows: int, cols: int) -> CountMatrix:
+    # Looked up on the dp module at call time, so a patched or counted
+    # dp.di_table sees every real build.
+    return dp.di_table(TableDims(rows, cols), 1)
 
-    Built purely by the additive recurrence, so it serves as an
-    independent cross-check of :func:`binomial` in tests.
-    """
 
-    def __init__(self, max_n: int):
-        if max_n < 0:
-            raise ValueError("max_n must be nonnegative")
-        rows: list[list[int]] = [[1]]
-        for n in range(1, max_n + 1):
-            prev = rows[-1]
-            row = [1]
-            for k in range(1, n):
-                row.append(prev[k - 1] + prev[k])
-            row.append(1)
-            rows.append(row)
-        self.max_n = max_n
-        self._rows = tuple(tuple(r) for r in rows)
-
-    def value(self, n: int, k: int) -> int:
-        if n < 0 or n > self.max_n:
-            raise ValueError(f"row {n} outside table (max {self.max_n})")
-        if k < 0 or k > n:
-            return 0
-        return self._rows[n][k]
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _d_table(rows: int, cols: int) -> CountMatrix:
+    return dp.d_table(TableDims(rows, cols))
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -112,10 +101,10 @@ def d1_closed(s: int, t: int) -> int:
 def _h_square_value(n: int, m: int) -> int:
     # Unguarded evaluator; domain calibration probes it outside the
     # declared validity window.
-    square = dp.d_table(TableDims(n, n)).get(n, n)
+    square = _d_table(n, n).get(n, n)
     if n <= m:
         return square
-    d1 = dp.di_table(TableDims(m, n - 1), 1)
+    d1 = _d1_table(m, n - 1)
     return square - sum(
         3 ** (n - i - 1) * d1.get(i, m) for i in range(m, n)
     )
@@ -147,7 +136,7 @@ def d1_split(n: int, m: int, s: int) -> int:
         raise ValueError("m and n must be positive")
     if not 1 <= s <= n:
         raise ValueError(f"split column {s} outside [1, {n}]")
-    table = dp.di_table(TableDims(m, n), 1)
+    table = _d1_table(m, n)
     return sum(
         table.get(s, i) * table.get(n - s + 1, m - i + 1)
         for i in range(1, m + 1)
@@ -164,7 +153,7 @@ def _d_boundary(
     m = dims.rows
     total = 3 ** (s - 1)
     if s > 1:
-        d1 = dp.di_table(TableDims(m, s - 1), 1)
+        d1 = _d1_table(m, s - 1)
         for i in range(max(bottom_start, 1), s):
             total -= 3 ** (s - i - 1) * d1.get(i, t)
         for i in range(max(top_start, 1), s):
@@ -204,7 +193,7 @@ def i_inner(dims: TableDims, a: int) -> int:
     if not 1 <= a <= dims.cols:
         raise ValueError(f"column {a} outside [1, {dims.cols}]")
     b = dims.cols + 1 - a
-    table = dp.d_table(dims)
+    table = _d_table(dims.rows, dims.cols)
     return sum(
         table.get(a, i) * table.get(b, i) for i in range(1, dims.rows + 1)
     )
@@ -250,7 +239,7 @@ def _s2_value(m: int, span: int, start_row: int, end_row: int) -> int:
     # Unguarded evaluator shared with domain calibration.
     total = s_free_closed(end_row - start_row, span)
     if span:
-        d1 = dp.di_table(TableDims(m, span), 1)
+        d1 = _d1_table(m, span)
         for k in range(1, span + 1):
             total -= d1.get(k, start_row) * s_free_closed(end_row, span - k)
             total -= d1.get(k, m + 1 - start_row) * s_free_closed(

@@ -195,6 +195,39 @@ def test_verify_deviation_exits_two(capsys):
     assert code == 2 and "FAIL" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--identity", "S2", "--max-m", "0"),
+        ("--identity", "S2", "--max-m", "-1"),
+        ("--identity", "FLIP-SYMMETRY", "--max-n", "0"),
+        ("--identity", "S-FREE", "--max-y", "-1"),
+        ("--identity", "A-CLOSED", "--max-s", "0"),
+        ("--max-m", "0"),
+    ],
+)
+def test_verify_override_below_axis_bound_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be at least" in err
+
+
+def test_verify_lowest_grid_checks_a_case_per_identity(capsys):
+    # At the axis lower bounds every identity still has a case; the
+    # late-start variant agrees there, so the run deviates (exit 2).
+    code, out, _ = run_cli(
+        capsys, "verify", "--max-m", "1", "--max-n", "1", "--max-s", "1",
+        "--max-y", "0", "--max-k", "0", "--format", "json",
+    )
+    assert code == 2
+    reports = json.loads(out)["reports"]
+    assert all(r["cases_checked"] >= 1 for r in reports)
+    assert [r["identity"] for r in reports if r["verdict"] == "FAIL"] == [
+        "D-BOUNDARY-PRINTED"
+    ]
+
+
 def test_words_five_word_list(capsys):
     code, out, _ = run_cli(
         capsys, "words", "--length", "3", "--start", "1", "--end", "2",

@@ -1,14 +1,21 @@
 import pytest
 
 from tablepaths.core import (
+    STEP_RISE,
     Cell,
     CountMatrix,
     LatticeWord,
     TableDims,
-    letter_count,
     row_trace,
 )
 from tablepaths.oracle import WordFilter, enumerate_words
+
+
+def letter_count(word: LatticeWord, letter: str) -> int:
+    """Number of occurrences of ``letter`` in the word."""
+    if letter not in STEP_RISE:
+        raise ValueError(f"unknown step letter {letter!r}")
+    return word.letters.count(letter)
 
 
 def test_letter_count_examples():

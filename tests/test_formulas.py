@@ -2,10 +2,10 @@ import math
 
 import pytest
 
+from tablepaths import formulas
 from tablepaths.core import Cell, TableDims
 from tablepaths.dp import bounded_pair_count, di_table, imn
 from tablepaths.formulas import (
-    BinomialTable,
     a_closed,
     binomial,
     catalan_number,
@@ -21,6 +21,36 @@ from tablepaths.formulas import (
     s_free_closed,
     s_free_printed,
 )
+from tablepaths.oracle import brute_imn, brute_pair_count
+
+
+class BinomialTable:
+    """Dense Pascal triangle for rows 0..max_n.
+
+    Built purely by the additive recurrence, so it serves as an
+    independent cross-check of :func:`binomial`.
+    """
+
+    def __init__(self, max_n: int):
+        if max_n < 0:
+            raise ValueError("max_n must be nonnegative")
+        rows: list[list[int]] = [[1]]
+        for n in range(1, max_n + 1):
+            prev = rows[-1]
+            row = [1]
+            for k in range(1, n):
+                row.append(prev[k - 1] + prev[k])
+            row.append(1)
+            rows.append(row)
+        self.max_n = max_n
+        self._rows = tuple(tuple(r) for r in rows)
+
+    def value(self, n: int, k: int) -> int:
+        if n < 0 or n > self.max_n:
+            raise ValueError(f"row {n} outside table (max {self.max_n})")
+        if k < 0 or k > n:
+            return 0
+        return self._rows[n][k]
 
 
 def test_binomial_examples():
@@ -205,3 +235,26 @@ def test_catalan_values():
         1, 1, 2, 5, 14, 42, 132, 429,
     ]
     assert catalan_number(10) == math.comb(20, 10) // 11
+
+
+def test_shared_tables_keyed_by_height_and_width():
+    # Same width with different heights, then same height with different
+    # widths, interleaved: a table kept under part of its shape would
+    # answer for the wrong one.
+    formulas._d1_table.cache_clear()
+    formulas._d_table.cache_clear()
+    for m, n in [(3, 6), (5, 6), (2, 6), (5, 4), (3, 6), (5, 7), (2, 3), (5, 6)]:
+        dims = TableDims(m, n)
+
+        def brute(r0, s, t):
+            return brute_pair_count(dims, Cell(1, r0), Cell(s, t))
+
+        assert d1_split(n, m, 2) == brute(1, n, m)
+        assert i_inner(dims, 2) == brute_imn(dims)
+        for t in range(1, m + 1):
+            from_anywhere = sum(brute(r, n, t) for r in range(1, m + 1))
+            assert d_boundary(dims, n, t) == from_anywhere
+        if m <= n <= 2 * m:
+            assert h_via_square(n, m) == sum(brute(1, n, t) for t in range(1, m + 1))
+        span = min(n - 1, m + 1)
+        assert s2_closed(dims, Cell(1, 1), Cell(1 + span, m)) == brute(1, 1 + span, m)

@@ -1,7 +1,10 @@
 import pytest
 
+from tablepaths import dp, formulas
+from tablepaths.core import TableDims
 from tablepaths.verify import (
     IDENTITY_IDS,
+    IdentitySpec,
     calibrate_domain,
     default_spec,
     default_suite,
@@ -82,6 +85,119 @@ def test_domain_overrides_shrink_grid():
     # Unknown axes are ignored rather than rejected.
     same = run_identity(default_spec("D1-VIA-A", {"y": 1}))
     assert same.cases_checked == full.cases_checked
+
+
+@pytest.mark.parametrize(
+    "identity, axis, value",
+    [
+        ("S2", "m", 0),
+        ("S2", "m", -1),
+        ("FLIP-SYMMETRY", "n", 0),
+        ("S-FREE", "y", -1),
+        ("A-CLOSED", "s", 0),
+        ("CATALAN-EDGE", "k", -1),
+    ],
+)
+def test_override_below_axis_bound_rejected(identity, axis, value):
+    with pytest.raises(ValueError, match="must be at least"):
+        default_spec(identity, {axis: value})
+
+
+def test_axis_lower_bounds_leave_a_case_everywhere():
+    lowest = {"m": 1, "n": 1, "s": 1, "y": 0, "k": 0}
+    for identity in IDENTITY_IDS:
+        assert run_identity(default_spec(identity, lowest)).cases_checked >= 1
+    assert run_identity(default_spec("S-FREE", {"y": 0})).cases_checked == 1
+    assert run_identity(default_spec("CATALAN-EDGE", {"k": 0})).cases_checked == 1
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        IdentitySpec("S2", (("m", 0),), "PASS"),
+        IdentitySpec("S-FREE", (("y", -1),), "PASS"),
+        IdentitySpec("S-FREE-PRINTED", (("y", -1),), "DOCUMENTED-FAILURE"),
+    ],
+)
+def test_zero_case_run_is_never_pass(spec):
+    rep = run_identity(spec)
+    assert rep.cases_checked == 0
+    assert rep.verdict == "FAIL"
+    assert not verdict_as_expected(rep)
+
+
+def _count_engine_builds(monkeypatch) -> list:
+    """Record (function name, args) of every dp table build and march."""
+    calls = []
+    for name in ("di_table", "d_table", "bounded_pair_count"):
+        real = getattr(dp, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls.append((_name, args))
+            return _real(*args)
+
+        monkeypatch.setattr(dp, name, counted)
+    return calls
+
+
+def test_engine_tables_built_once_per_shape(monkeypatch):
+    formulas._d1_table.cache_clear()
+    formulas._d_table.cache_clear()
+    calls = _count_engine_builds(monkeypatch)
+
+    run_identity(default_spec("D-BOUNDARY"))
+    start_row_1 = [a for name, a in calls if name == "di_table" and a[1] == 1]
+    # One per distinct (m, s - 1) the formula reads, 6 x 11; one build
+    # per grid point would make 1,386.
+    assert len(start_row_1) <= 66
+    assert len(set(start_row_1)) == len(start_row_1)
+    # Engine side: one start-anywhere table per m at the widest column.
+    assert [a for name, a in calls if name == "d_table"] == [
+        (TableDims(m, 12),) for m in range(1, 7)
+    ]
+
+    calls.clear()
+    run_identity(default_spec("S2"))
+    assert not [a for name, a in calls if name == "bounded_pair_count"]
+    # Engine side: one width-(m + 2) table per (m, r0).
+    engine = [a for name, a in calls if a[0].cols == a[0].rows + 2]
+    assert engine == [
+        (TableDims(m, m + 2), r0) for m in range(1, 6) for r0 in range(1, m + 1)
+    ]
+
+    calls.clear()
+    run_identity(default_spec("FLIP-SYMMETRY"))
+    assert calls == [
+        ("di_table", (TableDims(m, 12), i))
+        for m in range(1, 7)
+        for i in range(1, m + 1)
+    ]
+
+
+DOUBLED_GRID = {"m": 12, "n": 24, "s": 24, "y": 20, "k": 10}
+DOUBLED_CASES = {
+    "A-CLOSED": 300,
+    "D1-VIA-A": 300,
+    "D1-CLOSED": 300,
+    "H-SQUARE": 90,
+    "D1-SPLIT": 3600,
+    "D-BOUNDARY": 23400,
+    "D-BOUNDARY-PRINTED": 23400,
+    "INNER-PRODUCT": 3600,
+    "S-FREE": 441,
+    "S-FREE-PRINTED": 441,
+    "S2": 7384,
+    "MOTZKIN-EDGE": 24,
+    "CATALAN-EDGE": 11,
+    "FLIP-SYMMETRY": 195000,
+    "REVERSAL": 24,
+}
+
+
+def test_doubled_grid_suite():
+    reports, all_ok = run_suite(default_suite(DOUBLED_GRID))
+    assert all_ok
+    assert {r.spec.identity: r.cases_checked for r in reports} == DOUBLED_CASES
 
 
 def test_reports_serialize_deterministically():
