@@ -16,7 +16,8 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from itertools import chain, islice
+from typing import Iterable, Optional, Sequence, TextIO
 
 from . import dp, oracle, verify
 from .core import Cell, CountMatrix, TableDims, row_trace
@@ -25,6 +26,7 @@ CAP_ENV_VAR = "TABLEPATHS_ORACLE_CAP"
 FORMATS = ("csv", "json", "markdown")
 TABLE_KINDS = ("d1", "d", "a", "h")
 SEQUENCE_TARGETS = ("imn-fixed-m", "d1-bottom-row")
+WORD_BATCH = 4096  # words formatted per write
 
 
 class UsageError(Exception):
@@ -41,10 +43,24 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def render_table_csv(matrix: CountMatrix) -> str:
-    lines = ["s,t,value"]
-    lines += [f"{s},{t},{v}" for s, t, v in matrix.entries()]
-    return "\n".join(lines) + "\n"
+def _write_json(out: TextIO, head: str, key: str, chunks: Iterable[str]) -> None:
+    """Write ``{<head> "key": [<chunks>]}`` byte for byte as
+    ``json.dumps(obj, indent=2)`` does, whose pure-Python encoder is too
+    slow for big tables.  ``head`` holds the earlier members, rendered;
+    each chunk is a nonempty ",\\n"-joined run of depth-2 list items."""
+    out.write("{\n" + head + f'  "{key}": [')
+    sep = "\n"
+    for chunk in chunks:
+        out.write(sep + chunk)
+        sep = ",\n"
+    out.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
+
+
+def render_table_csv(out: TextIO, matrix: CountMatrix) -> None:
+    out.write("s,t,value\n")
+    rows = range(1, matrix.dims.rows + 1)
+    for s, col in enumerate(matrix.columns(), start=1):
+        out.write("".join(map(f"{s},{{}},{{}}\n".format, rows, col)))
 
 
 def parse_table_csv(text: str) -> CountMatrix:
@@ -58,13 +74,15 @@ def parse_table_csv(text: str) -> CountMatrix:
     return CountMatrix(dims, columns)
 
 
-def render_table_json(matrix: CountMatrix, kind: str) -> str:
-    payload = {
-        "dims": {"rows": matrix.dims.rows, "cols": matrix.dims.cols},
-        "kind": kind,
-        "entries": [[s, t, str(v)] for s, t, v in matrix.entries()],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+def render_table_json(out: TextIO, matrix: CountMatrix, kind: str) -> None:
+    dims = matrix.dims
+    head = (f'  "dims": {{\n    "rows": {dims.rows},\n    "cols": {dims.cols}\n'
+            f'  }},\n  "kind": {json.dumps(kind)},\n')
+    _write_json(out, head, "entries", (
+        ",\n".join(f'    [\n      {s},\n      {t},\n      "{v}"\n    ]'
+                   for t, v in enumerate(col, start=1))
+        for s, col in enumerate(matrix.columns(), start=1)
+    ))
 
 
 def parse_table_json(text: str) -> CountMatrix:
@@ -77,25 +95,22 @@ def parse_table_json(text: str) -> CountMatrix:
 
 
 def render_table_markdown(
-    matrix: CountMatrix, kind: str, footer: Optional[list[int]] = None
-) -> str:
-    # Triangular families leave the unreachable upper wedge blank, the
-    # way the reference tables print them.
+    out: TextIO, matrix: CountMatrix, kind: str, footer: Optional[list[int]] = None
+) -> None:
+    # Triangular families leave the unreachable upper wedge (t > s)
+    # blank, the way the reference tables print them.
     blank_wedge = kind in ("d1", "a")
     cols = matrix.dims.cols
-    lines = ["| t\\s | " + " | ".join(str(s) for s in range(1, cols + 1)) + " |"]
-    lines.append("|" + " --- |" * (cols + 1))
+    out.write("| t\\s | " + " | ".join(map(str, range(1, cols + 1))) + " |\n")
+    out.write("|" + " --- |" * (cols + 1) + "\n")
+    rows = list(zip(*matrix.columns()))  # rows[t - 1]: row t, column 1 first
     for t in range(matrix.dims.rows, 0, -1):
-        cells = []
-        for s in range(1, cols + 1):
-            if blank_wedge and t > s:
-                cells.append("")
-            else:
-                cells.append(str(matrix.get(s, t)))
-        lines.append(f"| {t} | " + " | ".join(cells) + " |")
+        cells = map(str, rows[t - 1])
+        if blank_wedge:
+            cells = chain([""] * min(t - 1, cols), map(str, rows[t - 1][t - 1:]))
+        out.write(f"| {t} | " + " | ".join(cells) + " |\n")
     if footer is not None:
-        lines.append("| H(s,s) | " + " | ".join(str(v) for v in footer) + " |")
-    return "\n".join(lines) + "\n"
+        out.write("| H(s,s) | " + " | ".join(map(str, footer)) + " |\n")
 
 
 def _build_table(kind: str, rows: int, cols: int) -> CountMatrix:
@@ -114,19 +129,19 @@ def _build_table(kind: str, rows: int, cols: int) -> CountMatrix:
 
 
 def _cmd_table(args) -> int:
+    if args.hss_footer and (args.kind != "d1" or args.format != "markdown"):
+        raise UsageError("--hss-footer requires --kind d1 and markdown format")
     matrix = _build_table(args.kind, args.rows, args.cols)
-    footer = None
-    if args.hss_footer:
-        if args.kind != "d1" or args.format != "markdown":
-            raise UsageError("--hss-footer requires --kind d1 and markdown format")
-        footer = dp.hss_values(TableDims(args.rows, args.cols))
+    footer = dp.hss_values(matrix) if args.hss_footer else None
+    # Convert the largest value before writing anything, so a table past
+    # the int->str digit limit fails with empty stdout.
+    str(max(chain(map(max, matrix.columns()), footer or ())))
     if args.format == "csv":
-        out = render_table_csv(matrix)
+        render_table_csv(sys.stdout, matrix)
     elif args.format == "json":
-        out = render_table_json(matrix, args.kind)
+        render_table_json(sys.stdout, matrix, args.kind)
     else:
-        out = render_table_markdown(matrix, args.kind, footer)
-    sys.stdout.write(out)
+        render_table_markdown(sys.stdout, matrix, args.kind, footer)
     return 0
 
 
@@ -273,30 +288,28 @@ def _cmd_words(args) -> int:
         net_displacement=args.net,
     )
     cap = _resolve_cap(args.cap)
-    words = list(oracle.enumerate_words(length, filt, cap=cap))
+    words = oracle.enumerate_words(length, filt, cap=cap)
+    # Take the first word before writing anything, so that cap and filter
+    # errors leave stdout empty; then write in batches of WORD_BATCH.
+    first = next(words, None)
+    if first is not None:
+        words = chain([first], words)
+    batches = iter(lambda: list(islice(words, WORD_BATCH)), [])
     if args.format == "json":
-        payload = {
-            "words": [
-                {
-                    "letters": w.letters,
-                    "start_row": w.start_row,
-                    "trace": list(row_trace(w)),
-                }
-                for w in words
-            ]
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        # Letters are validated to "urd", so they need no JSON escaping.
+        _write_json(sys.stdout, "", "words", (",\n".join(
+            f'    {{\n      "letters": "{w.letters}",\n'
+            f'      "start_row": {w.start_row},\n      "trace": [\n        '
+            + ",\n        ".join(map(str, row_trace(w))) + "\n      ]\n    }"
+            for w in batch) for batch in batches))
         return 0
-    lines = []
-    for w in words:
-        letters = w.letters if w.letters else "ε"
-        lines.append((letters, format_trace(row_trace(w))))
     if args.format == "csv":
-        out = ["word,trace"] + [f"{a},{b}" for a, b in lines]
-    else:
-        out = [f"{a} {b}" for a, b in lines]
-    if out:
-        sys.stdout.write("\n".join(out) + "\n")
+        sys.stdout.write("word,trace\n")
+    line = "{},{}\n" if args.format == "csv" else "{} {}\n"
+    for batch in batches:
+        sys.stdout.write("".join(
+            line.format(w.letters or "ε", format_trace(row_trace(w))) for w in batch
+        ))
     return 0
 
 
@@ -367,24 +380,21 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except UsageError as exc:
+    except (UsageError, oracle.CapExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except oracle.CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except BrokenPipeError:
+        # The reader closed stdout early (``tablepaths table ... | head``).
+        # Point stdout at devnull, so that the flush at interpreter exit
+        # cannot fail a second time, and exit 1 with no message.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

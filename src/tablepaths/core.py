@@ -16,6 +16,7 @@ across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
 
 # Canonical letter order; also the enumeration order (u < r < d).
@@ -90,13 +91,15 @@ class CountMatrix:
     __slots__ = ("dims", "_cols")
 
     def __init__(self, dims: TableDims, columns: Sequence[Sequence[int]]):
-        if len(columns) != dims.cols or any(len(c) != dims.rows for c in columns):
+        # Each check is one pass in C; int() runs only when some value
+        # is not already an int (a bool, a digit string, ...).
+        cols = tuple(map(tuple, columns))
+        if len(cols) != dims.cols or set(map(len, cols)) != {dims.rows}:
             raise ValueError("column data does not match declared dims")
-        cols = tuple(tuple(int(v) for v in col) for col in columns)
-        for col in cols:
-            for v in col:
-                if v < 0:
-                    raise ValueError("counts must be nonnegative")
+        if set(map(type, chain.from_iterable(cols))) != {int}:
+            cols = tuple(tuple(map(int, col)) for col in cols)
+        if min(map(min, cols)) < 0:
+            raise ValueError("counts must be nonnegative")
         self.dims = dims
         self._cols = cols
 
@@ -112,6 +115,10 @@ class CountMatrix:
         if not 1 <= col <= self.dims.cols:
             raise ValueError(f"column {col} outside table")
         return self._cols[col - 1]
+
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """Every column, column 1 first; each one bottom row first."""
+        return self._cols
 
     def entries(self) -> Iterator[tuple[int, int, int]]:
         """(col, row, value) triples in column-major order."""

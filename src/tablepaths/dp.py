@@ -12,6 +12,8 @@ virtual rows 0 and rows+1 are never stored.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .core import Cell, CountMatrix, TableDims
 
 
@@ -85,27 +87,19 @@ def h_table(dims: TableDims) -> CountMatrix:
     Entry (s, t) counts paths from (1, 1) to column s ending in any row
     up to t; entry (s, rows) counts all paths from (1, 1) to column s.
     """
-    base = di_table(dims, 1)
-    columns = []
-    for s in range(1, dims.cols + 1):
-        running = 0
-        col = []
-        for v in base.column(s):
-            running += v
-            col.append(running)
-        columns.append(col)
-    return CountMatrix(dims, columns)
+    return CountMatrix(dims, map(accumulate, di_table(dims, 1).columns()))
 
 
-def hss_values(dims: TableDims) -> list[int]:
-    """Diagonal footer H(s, min(s, rows)) for s = 1..cols.
+def hss_values(d1: CountMatrix) -> list[int]:
+    """Diagonal footer H(s, min(s, rows)) for s = 1..cols, read from the
+    start-row-1 table ``d1`` (as built by ``di_table(dims, 1)``).
 
     For s <= rows this is the true diagonal; beyond the top row the
     diagonal is capped at the table height, matching the tabulated
     footer convention.
     """
-    h = h_table(dims)
-    return [h.get(s, min(s, dims.rows)) for s in range(1, dims.cols + 1)]
+    rows = d1.dims.rows
+    return [sum(col[:min(s, rows)]) for s, col in enumerate(d1.columns(), start=1)]
 
 
 def bounded_pair_count(dims: TableDims, start: Cell, end: Cell) -> int:

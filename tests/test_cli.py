@@ -1,13 +1,16 @@
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from golden_tables import FIGURE1_ROW_WORDS, MOTZKIN
-from tablepaths import cli
-from tablepaths.core import TableDims
-from tablepaths.dp import a_table, d_table, di_table, h_table
+from tablepaths import cli, oracle
+from tablepaths.core import TableDims, row_trace
+from tablepaths.dp import a_table, d_table, di_table, h_table, hss_values
 
 
 def run_cli(capsys, *argv):
@@ -305,3 +308,193 @@ def test_module_invocation_subprocess():
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+# -- streamed output against the whole-string renderers it replaced ----------
+
+
+def _joined_csv(matrix):
+    lines = ["s,t,value"]
+    lines += [f"{s},{t},{v}" for s, t, v in matrix.entries()]
+    return "\n".join(lines) + "\n"
+
+
+def _dumped_json(matrix, kind):
+    payload = {
+        "dims": {"rows": matrix.dims.rows, "cols": matrix.dims.cols},
+        "kind": kind,
+        "entries": [[s, t, str(v)] for s, t, v in matrix.entries()],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _joined_markdown(matrix, kind, footer=None):
+    blank_wedge = kind in ("d1", "a")
+    cols = matrix.dims.cols
+    lines = ["| t\\s | " + " | ".join(str(s) for s in range(1, cols + 1)) + " |"]
+    lines.append("|" + " --- |" * (cols + 1))
+    for t in range(matrix.dims.rows, 0, -1):
+        cells = ["" if blank_wedge and t > s else str(matrix.get(s, t))
+                 for s in range(1, cols + 1)]
+        lines.append(f"| {t} | " + " | ".join(cells) + " |")
+    if footer is not None:
+        lines.append("| H(s,s) | " + " | ".join(str(v) for v in footer) + " |")
+    return "\n".join(lines) + "\n"
+
+
+def _streamed(render, *args):
+    out = io.StringIO()
+    assert render(out, *args) is None
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 6), (6, 1), (8, 8), (3, 9), (9, 3)])
+def test_streamed_tables_match_joined_renderers(rows, cols):
+    dims = TableDims(rows, cols)
+    tables = {"d1": di_table(dims, 1), "d": d_table(dims), "h": h_table(dims)}
+    if rows == cols:
+        tables["a"] = a_table(cols)
+    for kind, matrix in tables.items():
+        assert _streamed(cli.render_table_csv, matrix) == _joined_csv(matrix)
+        assert _streamed(cli.render_table_json, matrix, kind) == _dumped_json(
+            matrix, kind
+        )
+        assert _streamed(cli.render_table_markdown, matrix, kind) == (
+            _joined_markdown(matrix, kind)
+        )
+    footer = hss_values(tables["d1"])
+    assert _streamed(cli.render_table_markdown, tables["d1"], "d1", footer) == (
+        _joined_markdown(tables["d1"], "d1", footer)
+    )
+
+
+def _joined_words(words, fmt):
+    if fmt == "json":
+        payload = {"words": [
+            {"letters": w.letters, "start_row": w.start_row,
+             "trace": list(row_trace(w))}
+            for w in words
+        ]}
+        return json.dumps(payload, indent=2) + "\n"
+    lines = [(w.letters or "ε", cli.format_trace(row_trace(w))) for w in words]
+    if fmt == "csv":
+        out = ["word,trace"] + [f"{a},{b}" for a, b in lines]
+    else:
+        out = [f"{a} {b}" for a, b in lines]
+    return "\n".join(out) + "\n" if out else ""
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+@pytest.mark.parametrize(
+    "argv,filt",
+    [
+        (("--length", "0", "--start", "1"), {"start_row": 1}),
+        (("--length", "0", "-m", "3"), {"floor": 1, "ceiling": 3}),
+        (("--length", "4", "--start", "1", "--end", "9"),
+         {"start_row": 1, "end_row": 9}),
+        (("--length", "3", "--start", "-1", "--alphabet", "ud"),
+         {"start_row": -1, "alphabet": "ud"}),
+        (("--length", "5", "-m", "3", "--net", "1"),
+         {"floor": 1, "ceiling": 3, "net_displacement": 1}),
+    ],
+)
+def test_streamed_words_match_joined_output(capsys, argv, filt, fmt):
+    words = list(oracle.enumerate_words(int(argv[1]), oracle.WordFilter(**filt)))
+    code, out, err = run_cli(capsys, "words", *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == _joined_words(words, fmt)
+
+
+def test_words_stream_in_batches(capsys):
+    # 3^9 words span several write batches.
+    code, out, _ = run_cli(capsys, "words", "--length", "9", "--start", "1")
+    words = list(oracle.enumerate_words(9, oracle.WordFilter(start_row=1)))
+    assert len(words) > 4 * cli.WORD_BATCH
+    assert code == 0 and out == _joined_words(words, "plain")
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_words_errors_leave_stdout_empty(capsys, fmt):
+    code, out, err = run_cli(
+        capsys, "words", "--length", "5", "--start", "1", "--cap", "4",
+        "--format", fmt,
+    )
+    assert (code, out) == (1, "") and err.count("\n") == 1
+
+
+def test_over_digit_limit_table_exits_one_with_empty_stdout(capsys):
+    # Two rows from row 1: column s holds 2^(s-2) twice, and the footer
+    # entry at s is their sum 2^(s-1).  Pick the width whose footer alone
+    # passes the lowest int->str digit limit Python allows.
+    limit = sys.int_info.str_digits_check_threshold
+    cols = next(n for n in range(3, 10_000) if len(str(2 ** (n - 1))) > limit)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        code, out, _ = run_cli(capsys, "table", "--kind", "d1", "-m", "2",
+                               "-n", str(cols))
+        assert code == 0 and out.count("\n") == 4
+        code, out, err = run_cli(capsys, "table", "--kind", "d1", "-m", "2",
+                                 "-n", str(cols), "--hss-footer")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        for fmt in ("csv", "json", "markdown"):
+            code, out, err = run_cli(capsys, "table", "--kind", "d1", "-m", "2",
+                                     "-n", str(cols + 1), "--format", fmt)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_footer_misuse_is_rejected_before_the_table_is_built(capsys, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("table built")
+
+    monkeypatch.setattr(cli.dp, "d_table", no_build)
+    monkeypatch.setattr(cli.dp, "di_table", no_build)
+    code, out, err = run_cli(capsys, "table", "--kind", "d", "-m", "5", "-n",
+                             "10", "--hss-footer")
+    assert (code, out) == (1, "") and "--hss-footer" in err
+    code, out, err = run_cli(capsys, "table", "--kind", "d1", "-m", "5", "-n",
+                             "10", "--hss-footer", "--format", "json")
+    assert (code, out) == (1, "") and "--hss-footer" in err
+
+
+def test_footer_builds_the_start_row_one_table_once(capsys, monkeypatch):
+    builds = []
+
+    def counted(dims, start_row):
+        builds.append((dims, start_row))
+        return di_table(dims, start_row)
+
+    monkeypatch.setattr(cli.dp, "di_table", counted)
+    code, _, _ = run_cli(capsys, "table", "--kind", "d1", "-m", "5", "-n", "10",
+                         "--hss-footer")
+    assert code == 0 and builds == [(TableDims(5, 10), 1)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--kind", "d1", "-m", "300", "-n", "300", "--format", "csv"),
+    ("table", "--kind", "d", "-m", "200", "-n", "200", "--format", "json"),
+    ("table", "--kind", "d1", "-m", "300", "-n", "300"),
+    ("words", "--length", "10", "--start", "1"),
+])
+def test_closed_pipe_exits_one_without_traceback(argv):
+    # The output is far larger than a pipe buffer, so the CLI is still
+    # writing when the reader goes away after 10 bytes.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "tablepaths", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert code == 1
+    assert "Traceback" not in err
+    assert len(err.splitlines()) <= 1

@@ -87,3 +87,24 @@ def test_count_matrix_equality():
     dims = TableDims(1, 2)
     assert CountMatrix(dims, [[1], [2]]) == CountMatrix(dims, [[1], [2]])
     assert CountMatrix(dims, [[1], [2]]) != CountMatrix(dims, [[1], [3]])
+
+
+def test_count_matrix_checks_every_column():
+    dims = TableDims(2, 3)
+    for columns in ([[1, 2], [3, 4]], [[1, 2], [3, 4], [5]],
+                    [[1, 2], [3, 4], [5, 6, 7]], [[1, 2], [3, 4], [5, 6], [7, 8]]):
+        with pytest.raises(ValueError, match="does not match"):
+            CountMatrix(dims, columns)
+    with pytest.raises(ValueError, match="nonnegative"):
+        CountMatrix(dims, [[1, 2], [3, 4], [5, -1]])
+    with pytest.raises(ValueError):
+        CountMatrix(dims, [[1, 2], [3, 4], [5, "x"]])
+
+
+def test_count_matrix_converts_to_int():
+    dims = TableDims(2, 2)
+    m = CountMatrix(dims, [(True, False), iter(["5", 7])])
+    assert m == CountMatrix(dims, [[1, 0], [5, 7]])
+    assert all(type(v) is int for _, _, v in m.entries())
+    with pytest.raises(ValueError, match="nonnegative"):
+        CountMatrix(dims, [[1, 2], ["-3", 4]])

@@ -250,7 +250,7 @@ def test_5x10_recomputed_values_confirmed_by_enumeration():
 
 def test_5x10_footer_recomputed_values_confirmed_by_enumeration():
     dims = TableDims(5, 10)
-    assert hss_values(dims) == TABLE2_HSS_RECOMPUTED
+    assert hss_values(di_table(dims, 1)) == TABLE2_HSS_RECOMPUTED
     # Footer entry s is the number of paths from (1,1) across s columns;
     # enumerate them directly for the two contested entries.
     h = h_table(dims)
@@ -261,3 +261,12 @@ def test_5x10_footer_recomputed_values_confirmed_by_enumeration():
         )
         assert total == want
         assert h.get(s, 5) == want
+
+
+def test_hss_values_read_the_capped_diagonal_of_h():
+    for rows, cols in [(1, 1), (1, 6), (6, 1), (3, 9), (9, 3), (5, 10)]:
+        dims = TableDims(rows, cols)
+        h = h_table(dims)
+        assert hss_values(di_table(dims, 1)) == [
+            h.get(s, min(s, rows)) for s in range(1, cols + 1)
+        ]
