@@ -53,6 +53,21 @@ class Cell:
     row: int
 
 
+def check_pair(dims: TableDims, start: Cell, end: Cell) -> None:
+    """Reject a cell pair unless both cells lie in the table and the
+    start column is not right of the end column."""
+    for cell in (start, end):
+        if not dims.contains(cell):
+            raise ValueError(
+                f"cell ({cell.col},{cell.row}) outside "
+                f"{dims.rows}x{dims.cols} table"
+            )
+    if start.col > end.col:
+        raise ValueError(
+            f"start column {start.col} right of end column {end.col}"
+        )
+
+
 @dataclass(frozen=True)
 class LatticeWord:
     """A word over the letters u, r, d together with its starting row.

@@ -2,9 +2,11 @@
 
 Every family obeys the same one-column recurrence: the count at (s, t)
 is the sum of the counts at (s-1, t') over the rows t' that can step to
-t.  The engine marches a dense row vector column by column and keeps
-O(rows) state; full matrices are materialized only when a CountMatrix
-is requested.
+t.  One generator, ``_march``, holds the only column loop: each family
+starts it from its own first column (a unit column for D^i and A, all
+ones for D and I_m(n)) and marches a dense row vector column by column
+with O(rows) state; full matrices are materialized only when a
+CountMatrix is requested.
 
 Confinement is enforced by clipping the stencil at the vector ends; the
 virtual rows 0 and rows+1 are never stored.
@@ -12,9 +14,11 @@ virtual rows 0 and rows+1 are never stored.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import accumulate
+from typing import Iterable, Iterator
 
-from .core import Cell, CountMatrix, TableDims
+from .core import Cell, CountMatrix, TableDims, check_pair
 
 
 def _advance3(col: list[int]) -> list[int]:
@@ -41,6 +45,20 @@ def _unit_column(rows: int, row: int) -> list[int]:
     return col
 
 
+def _march(col: list[int], cols: int, advance=_advance3) -> Iterator[list[int]]:
+    """The one column loop: yield ``col``, then the next ``cols - 1``
+    columns, each one ``advance`` step from the one before."""
+    yield col
+    for _ in range(cols - 1):
+        col = advance(col)
+        yield col
+
+
+def _last(columns: Iterable[list[int]]) -> list[int]:
+    """Run a march to its end, keeping only the last column."""
+    return deque(columns, maxlen=1)[0]
+
+
 def di_table(dims: TableDims, start_row: int) -> CountMatrix:
     """Counts of confined paths from (1, start_row) to every cell."""
     if not 1 <= start_row <= dims.rows:
@@ -48,21 +66,12 @@ def di_table(dims: TableDims, start_row: int) -> CountMatrix:
             f"start row {start_row} outside [1, {dims.rows}]"
         )
     col = _unit_column(dims.rows, start_row)
-    columns = [col]
-    for _ in range(dims.cols - 1):
-        col = _advance3(col)
-        columns.append(col)
-    return CountMatrix(dims, columns)
+    return CountMatrix(dims, list(_march(col, dims.cols)))
 
 
 def d_table(dims: TableDims) -> CountMatrix:
     """Counts of confined paths from anywhere in column 1 to every cell."""
-    col = [1] * dims.rows
-    columns = [col]
-    for _ in range(dims.cols - 1):
-        col = _advance3(col)
-        columns.append(col)
-    return CountMatrix(dims, columns)
+    return CountMatrix(dims, list(_march([1] * dims.rows, dims.cols)))
 
 
 def a_table(n: int) -> CountMatrix:
@@ -73,12 +82,7 @@ def a_table(n: int) -> CountMatrix:
     t <= s <= n, so the top wall is never reached.
     """
     dims = TableDims(n, n)
-    col = _unit_column(n, 1)
-    columns = [col]
-    for _ in range(n - 1):
-        col = _advance_ud(col)
-        columns.append(col)
-    return CountMatrix(dims, columns)
+    return CountMatrix(dims, list(_march(_unit_column(n, 1), n, _advance_ud)))
 
 
 def h_table(dims: TableDims) -> CountMatrix:
@@ -104,69 +108,41 @@ def hss_values(d1: CountMatrix) -> list[int]:
 
 def bounded_pair_count(dims: TableDims, start: Cell, end: Cell) -> int:
     """Number of confined paths between two cells of the table."""
-    for cell in (start, end):
-        if not dims.contains(cell):
-            raise ValueError(
-                f"cell ({cell.col},{cell.row}) outside "
-                f"{dims.rows}x{dims.cols} table"
-            )
-    if start.col > end.col:
-        raise ValueError(
-            f"start column {start.col} right of end column {end.col}"
-        )
+    check_pair(dims, start, end)
     col = _unit_column(dims.rows, start.row)
-    for _ in range(end.col - start.col):
-        col = _advance3(col)
-    return col[end.row - 1]
+    return _last(_march(col, end.col - start.col + 1))[end.row - 1]
 
 
 def imn(dims: TableDims) -> int:
     """Number of paths crossing the whole table, any start and end row."""
-    col = [1] * dims.rows
-    for _ in range(dims.cols - 1):
-        col = _advance3(col)
-    return sum(col)
+    return sum(_last(_march([1] * dims.rows, dims.cols)))
 
 
 def imn_sequence(rows: int, max_cols: int) -> list[int]:
     """Whole-table counts for widths 1..max_cols at a fixed height."""
     if rows < 1 or max_cols < 1:
         raise ValueError("rows and max_cols must be positive")
-    col = [1] * rows
-    out = [sum(col)]
-    for _ in range(max_cols - 1):
-        col = _advance3(col)
-        out.append(sum(col))
-    return out
+    return list(map(sum, _march([1] * rows, max_cols)))
 
 
 def d1_bottom_row(rows: int, max_cols: int) -> list[int]:
     """Bottom-row counts of the start-row-1 family for s = 1..max_cols."""
     if rows < 1 or max_cols < 1:
         raise ValueError("rows and max_cols must be positive")
-    col = _unit_column(rows, 1)
-    out = [col[0]]
-    for _ in range(max_cols - 1):
-        col = _advance3(col)
-        out.append(col[0])
-    return out
+    return [col[0] for col in _march(_unit_column(rows, 1), max_cols)]
 
 
 def free_count(net: int, steps: int) -> int:
     """Number of step words of the given length with a fixed net rise,
     with no walls.
 
-    Runs the same confined advance routine over a window of rows
-    [-steps, steps] around the start, which no walk of that length can
-    leave, so its walls never bind.
+    Runs the same confined march over a window of rows [-steps, steps]
+    around the start, which no walk of that length can leave, so its
+    walls never bind.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if abs(net) > steps:
         return 0
-    mid = steps
-    col = [0] * (2 * steps + 1)
-    col[mid] = 1
-    for _ in range(steps):
-        col = _advance3(col)
-    return col[mid + net]
+    col = _unit_column(2 * steps + 1, steps + 1)
+    return _last(_march(col, steps + 1))[steps + net]

@@ -17,7 +17,7 @@ import functools
 import math
 
 from . import dp
-from .core import Cell, CountMatrix, TableDims
+from .core import Cell, CountMatrix, TableDims, check_pair
 
 # Engine tables kept per family.  An identity grid asks for the same
 # (rows, cols) at many points, about one width per column at each
@@ -261,16 +261,7 @@ def s2_closed(dims: TableDims, start: Cell, end: Cell) -> int:
     domain is L <= rows + 1, on which no path can leave through both
     walls.
     """
-    for cell in (start, end):
-        if not dims.contains(cell):
-            raise ValueError(
-                f"cell ({cell.col},{cell.row}) outside "
-                f"{dims.rows}x{dims.cols} table"
-            )
-    if start.col > end.col:
-        raise ValueError(
-            f"start column {start.col} right of end column {end.col}"
-        )
+    check_pair(dims, start, end)
     span = end.col - start.col
     if span > dims.rows + 1:
         raise ValueError(

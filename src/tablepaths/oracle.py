@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import LETTERS, STEP_RISE, Cell, LatticeWord, TableDims
+from .core import LETTERS, STEP_RISE, Cell, LatticeWord, TableDims, check_pair
 
 DEFAULT_CAP = 14
 
@@ -168,16 +168,7 @@ def brute_pair_count(
     dims: TableDims, start: Cell, end: Cell, cap: int = DEFAULT_CAP
 ) -> int:
     """Count confined paths between two cells by direct enumeration."""
-    for cell in (start, end):
-        if not dims.contains(cell):
-            raise ValueError(
-                f"cell ({cell.col},{cell.row}) outside "
-                f"{dims.rows}x{dims.cols} table"
-            )
-    if start.col > end.col:
-        raise ValueError(
-            f"start column {start.col} right of end column {end.col}"
-        )
+    check_pair(dims, start, end)
     filt = WordFilter.in_table(dims, start_row=start.row, end_row=end.row)
     return _count_words(end.col - start.col, filt, cap, "column span")
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import partial
+from itertools import product, starmap
 from typing import Callable, Iterator, Mapping, Optional
 
 from . import dp, formulas
@@ -367,101 +368,58 @@ class CalibrationResult:
 
 
 def _h_square_fails(m: int, n: int) -> bool:
-    truth = dp.h_table(TableDims(m, n)).get(n, m)
+    # H(n, m) sums column n of the start-row-1 table.
+    truth = sum(formulas._d1_table(m, n).column(n))
     return formulas._h_square_value(n, m) != truth
 
 
 def _s2_fails(m: int, span: int) -> bool:
     dims = TableDims(m, span + 1)
     for r0 in range(1, m + 1):
+        # The last column of the table from (1, r0) holds the pair
+        # counts from (1, r0) to every end row.
+        truth = dp.di_table(dims, r0).column(span + 1)
         for r1 in range(1, m + 1):
-            start, end = Cell(1, r0), Cell(span + 1, r1)
-            truth = dp.bounded_pair_count(dims, start, end)
-            if formulas._s2_value(m, span, r0, r1) != truth:
+            if formulas._s2_value(m, span, r0, r1) != truth[r1 - 1]:
                 return True
     return False
 
 
-def _d_boundary_fails_at(
-    fn: Callable[[TableDims, int, int], int],
-) -> Callable[[int, int, int, int], bool]:
-    cache: dict[tuple[int, int], object] = {}
-
-    def fails(m: int, n: int, s: int, t: int) -> bool:
-        dims = TableDims(m, n)
-        table = cache.get((m, n))
-        if table is None:
-            table = cache[(m, n)] = dp.d_table(dims)
-        return fn(dims, s, t) != table.get(s, t)
-
-    return fails
+def _d_boundary_fails(fn: str, m: int, n: int, s: int, t: int) -> bool:
+    if s > n or t > m:
+        return False
+    table = formulas._d_table(m, n)
+    return getattr(formulas, fn)(table.dims, s, t) != table.get(s, t)
 
 
-# id -> (ordered axes with searched (lo, hi), failure test over a full box)
-def _calibration_config(identity: str):
-    if identity == "H-SQUARE":
-        axes = (("m", (1, 5)), ("n", (1, 12)))
+_D_BOUNDARY_AXES = (("m", (1, 6)), ("n", (1, 12)), ("s", (1, 12)), ("t", (1, 6)))
 
-        def any_failure(box: dict[str, tuple[int, int]]) -> bool:
-            (mlo, mhi), (nlo, nhi) = box["m"], box["n"]
-            for m in range(mlo, mhi + 1):
-                for n in range(nlo, nhi + 1):
-                    if _h_square_fails(m, n):
-                        return True
-            return False
+# id -> (axes in shrink order with their searched (lo, hi), failure
+# predicate taking one value per axis and False off the domain, s > n)
+_CALIBRATION: dict[str, tuple[tuple, Callable[..., bool]]] = {
+    "H-SQUARE": ((("m", (1, 5)), ("n", (1, 12))), _h_square_fails),
+    "S2": ((("m", (1, 4)), ("span", (0, 8))), _s2_fails),
+    "D-BOUNDARY": (_D_BOUNDARY_AXES, partial(_d_boundary_fails, "d_boundary")),
+    "D-BOUNDARY-PRINTED": (
+        _D_BOUNDARY_AXES,
+        partial(_d_boundary_fails, "d_boundary_printed"),
+    ),
+}
 
-        def point_fails(m: int, secondary: int) -> bool:
-            return _h_square_fails(m, secondary)
 
-        return axes, any_failure, point_fails
-
-    if identity == "S2":
-        axes = (("m", (1, 4)), ("span", (0, 8)))
-
-        def any_failure(box: dict[str, tuple[int, int]]) -> bool:
-            (mlo, mhi), (slo, shi) = box["m"], box["span"]
-            for m in range(mlo, mhi + 1):
-                for span in range(slo, shi + 1):
-                    if _s2_fails(m, span):
-                        return True
-            return False
-
-        def point_fails(m: int, secondary: int) -> bool:
-            return _s2_fails(m, secondary)
-
-        return axes, any_failure, point_fails
-
-    if identity in ("D-BOUNDARY", "D-BOUNDARY-PRINTED"):
-        fn = (
-            formulas.d_boundary
-            if identity == "D-BOUNDARY"
-            else formulas.d_boundary_printed
-        )
-        fails_at = _d_boundary_fails_at(fn)
-        axes = (("m", (1, 6)), ("n", (1, 12)), ("s", (1, 12)), ("t", (1, 6)))
-
-        def any_failure(box: dict[str, tuple[int, int]]) -> bool:
-            (mlo, mhi), (nlo, nhi) = box["m"], box["n"]
-            (slo, shi), (tlo, thi) = box["s"], box["t"]
-            for m in range(mlo, mhi + 1):
-                for n in range(nlo, nhi + 1):
-                    for s in range(slo, min(shi, n) + 1):
-                        for t in range(tlo, min(thi, m) + 1):
-                            if fails_at(m, n, s, t):
-                                return True
-            return False
-
-        def point_fails(m: int, secondary: int) -> bool:
-            n = secondary
-            return any(
-                fails_at(m, n, s, t)
-                for s in range(1, n + 1)
-                for t in range(1, m + 1)
-            )
-
-        return axes, any_failure, point_fails
-
-    raise ValueError(f"no calibration defined for identity {identity!r}")
+def _passes_up_to(fails: Callable[..., bool], box: dict, axis: str) -> int:
+    """Largest b such that ``fails`` holds nowhere in the box (axis ->
+    (lo, hi), in the predicate's argument order) with ``axis`` cut to
+    (lo, b): one below the first failing value of ``axis``, else the top
+    of its range (lo - 1 if it is empty).  Cutting a failure-free box
+    keeps it failure-free, so scanning up from lo finds b."""
+    lo, hi = box[axis]
+    for value in range(lo, hi + 1):
+        slab = {**box, axis: (value, value)}.values()
+        points = product(*(range(a, b + 1) for a, b in slab))
+        if any(starmap(fails, points)):
+            return value - 1
+    return max(hi, lo - 1)
 
 
 def calibrate_domain(
@@ -474,39 +432,33 @@ def calibrate_domain(
     that removes every failure given the other axes' current ranges; an
     axis whose full collapse still leaves failures is left untouched.
     """
-    axes, any_failure, point_fails = _calibration_config(identity)
-    searched = []
-    for name, (lo, hi) in axes:
-        cap = (overrides or {}).get(name)
-        searched.append((name, (lo, min(hi, cap) if cap is not None else hi)))
-    box = {name: bounds for name, bounds in searched}
+    if identity not in _CALIBRATION:
+        raise ValueError(f"no calibration defined for identity {identity!r}")
+    axes, fails = _CALIBRATION[identity]
+    caps = overrides or {}
+    searched = tuple(
+        (name, (lo, min(hi, caps.get(name, hi)))) for name, (lo, hi) in axes
+    )
 
-    for name, _ in searched:
-        if not any_failure(box):
+    box = dict(searched)
+    for name, (lo, hi) in searched:
+        bound = _passes_up_to(fails, box, name)
+        if bound >= hi:  # no failure left in the box
             break
-        lo, hi = box[name]
-        chosen = None
-        for candidate in range(hi, lo - 1, -1):
-            if not any_failure({**box, name: (lo, candidate)}):
-                chosen = candidate
-                break
-        if chosen is not None:
-            box[name] = (lo, chosen)
+        if bound >= lo:
+            box[name] = (lo, bound)
 
-    primary_name, (plo, phi) = searched[0]
-    secondary_name, (slo, shi) = searched[1]
+    # The profile scans every other axis over its declared range, so an
+    # override on, say, s does not hide the failures at larger s.
+    (p_name, (plo, phi)), (q_name, (qlo, qhi)) = searched[:2]
     profile = []
     for p in range(plo, phi + 1):
-        best = slo - 1
-        for q in range(slo, shi + 1):
-            if point_fails(p, q):
-                break
-            best = q
-        profile.append((p, best))
+        row = {**dict(axes), p_name: (p, p), q_name: (qlo, qhi)}
+        profile.append((p, _passes_up_to(fails, row, q_name)))
 
     return CalibrationResult(
         identity=identity,
-        searched=tuple(searched),
-        axis_box=tuple((name, box[name]) for name, _ in searched),
+        searched=searched,
+        axis_box=tuple(box.items()),
         profile=tuple(profile),
     )

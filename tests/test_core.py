@@ -8,7 +8,9 @@ from tablepaths.core import (
     TableDims,
     row_trace,
 )
-from tablepaths.oracle import WordFilter, enumerate_words
+from tablepaths.dp import bounded_pair_count
+from tablepaths.formulas import s2_closed
+from tablepaths.oracle import WordFilter, brute_pair_count, enumerate_words
 
 
 def letter_count(word: LatticeWord, letter: str) -> int:
@@ -108,3 +110,23 @@ def test_count_matrix_converts_to_int():
     assert all(type(v) is int for _, _, v in m.entries())
     with pytest.raises(ValueError, match="nonnegative"):
         CountMatrix(dims, [[1, 2], ["-3", 4]])
+
+
+@pytest.mark.parametrize(
+    "count",
+    [bounded_pair_count, s2_closed, brute_pair_count],
+    ids=lambda fn: fn.__name__,
+)
+@pytest.mark.parametrize(
+    "start, end, message",
+    [
+        (Cell(1, 3), Cell(3, 1), r"cell \(1,3\) outside 2x3 table"),
+        (Cell(1, 1), Cell(4, 1), r"cell \(4,1\) outside 2x3 table"),
+        (Cell(3, 1), Cell(1, 1), "start column 3 right of end column 1"),
+    ],
+    ids=["row-outside", "column-outside", "start-right-of-end"],
+)
+def test_pair_range_checked_alike(count, start, end, message):
+    # Every pair count shares one range check, with the same messages.
+    with pytest.raises(ValueError, match=message):
+        count(TableDims(2, 3), start, end)

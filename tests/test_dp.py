@@ -32,6 +32,10 @@ def test_di_table_examples():
     assert table.get(8, 4) == 133
     for m, n, i in [(3, 4, 2), (5, 5, 5), (1, 6, 1)]:
         assert di_table(TableDims(m, n), i).get(1, i) == 1
+    # One column: the march yields its first column and stops.
+    for m, i in [(1, 1), (4, 1), (4, 3)]:
+        unit = tuple(int(t == i) for t in range(1, m + 1))
+        assert di_table(TableDims(m, 1), i).columns() == (unit,)
 
 
 def test_di_table_start_row_domain_error():
@@ -56,6 +60,8 @@ def test_d_table_examples():
     assert d_table(TableDims(2, 3)).get(3, 1) == 4
     table = d_table(TableDims(5, 7))
     assert all(table.get(1, t) == 1 for t in range(1, 6))
+    for m in (1, 4):
+        assert d_table(TableDims(m, 1)).columns() == ((1,) * m,)
 
 
 def test_d_table_is_sum_of_start_rows():
@@ -73,6 +79,7 @@ def test_a_table_examples():
     assert table.get(7, 1) == 5
     assert table.get(8, 2) == 14
     assert table.get(6, 1) == 0  # parity mismatch
+    assert a_table(1).columns() == ((1,),)
 
 
 def test_a_table_matches_8x8_golden():
@@ -95,6 +102,8 @@ def test_h_table_examples():
     assert table.get(9, 5) == 1931
     assert table.get(4, 4) == 13
     assert all(table.get(1, t) == 1 for t in range(1, 6))
+    for m in (1, 4):
+        assert h_table(TableDims(m, 1)).columns() == ((1,) * m,)
 
 
 def test_h_table_is_prefix_sum():
@@ -156,6 +165,11 @@ def test_imn_sequence_matches_pointwise():
     for m in (3, 5):
         seq = imn_sequence(m, 9)
         assert seq == [imn(TableDims(m, n)) for n in range(1, 10)]
+    for m in (1, 4):
+        assert imn_sequence(m, 1) == [m]
+    for rows, max_cols in [(0, 3), (3, 0), (-1, 1)]:
+        with pytest.raises(ValueError, match="rows and max_cols must be positive"):
+            imn_sequence(rows, max_cols)
 
 
 def test_d1_bottom_row_matches_tables():
@@ -163,6 +177,11 @@ def test_d1_bottom_row_matches_tables():
     row = d1_bottom_row(5, 12)
     table = di_table(TableDims(5, 12), 1)
     assert row == [table.get(s, 1) for s in range(1, 13)]
+    for m in (1, 4):
+        assert d1_bottom_row(m, 1) == [1]
+    for rows, max_cols in [(0, 3), (3, 0), (-1, 1)]:
+        with pytest.raises(ValueError, match="rows and max_cols must be positive"):
+            d1_bottom_row(rows, max_cols)
 
 
 def test_free_count_examples():

@@ -247,3 +247,20 @@ def test_calibrate_unknown_identity_rejected():
 def test_calibrate_respects_overrides():
     result = calibrate_domain("H-SQUARE", {"m": 3, "n": 6})
     assert result.profile_dict() == {1: 3, 2: 5, 3: 6}
+    # An empty n range passes up to n = 0, however far below 1 the cap is.
+    for cap in (0, -3):
+        result = calibrate_domain("H-SQUARE", {"m": 2, "n": cap})
+        assert result.profile_dict() == {1: 0, 2: 0}
+        assert dict(result.axis_box)["n"] == (1, cap)
+    # The profile scans the axes outside it (s, t) over their declared
+    # ranges, so a cap on s does not hide the failures at larger s.
+    small = {"m": 3, "n": 5, "s": 4}
+    for identity, overrides, n_box, profile in [
+        ("D-BOUNDARY-PRINTED", {"s": 1}, (1, 12), {m: 1 for m in range(1, 7)}),
+        ("D-BOUNDARY-PRINTED", small, (1, 1), {1: 1, 2: 1, 3: 1}),
+        ("D-BOUNDARY", {"s": 1}, (1, 12), {m: 12 for m in range(1, 7)}),
+        ("D-BOUNDARY", small, (1, 5), {1: 5, 2: 5, 3: 5}),
+    ]:
+        result = calibrate_domain(identity, overrides)
+        assert dict(result.axis_box)["n"] == n_box, (identity, overrides)
+        assert result.profile_dict() == profile, (identity, overrides)
