@@ -215,16 +215,8 @@ def _render_verify_csv(reports) -> str:
 
 
 def _cmd_verify(args) -> int:
-    overrides = {}
-    for axis, value in (
-        ("m", args.max_m),
-        ("n", args.max_n),
-        ("s", args.max_s),
-        ("y", args.max_y),
-        ("k", args.max_k),
-    ):
-        if value is not None:
-            overrides[axis] = value
+    caps = {axis: getattr(args, f"max_{axis}") for axis in verify.CAP_AXES}
+    overrides = {axis: cap for axis, cap in caps.items() if cap is not None}
     if args.identity == "all":
         specs = verify.default_suite(overrides)
     else:
@@ -352,11 +344,8 @@ def build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="run the identity suite")
     p_verify.add_argument("--identity", default="all")
-    p_verify.add_argument("--max-m", type=int)
-    p_verify.add_argument("--max-n", type=int)
-    p_verify.add_argument("--max-s", type=int)
-    p_verify.add_argument("--max-y", type=int)
-    p_verify.add_argument("--max-k", type=int)
+    for axis in verify.CAP_AXES:
+        p_verify.add_argument(f"--max-{axis}", type=int)
     p_verify.add_argument("--format", choices=FORMATS, default="markdown")
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -99,8 +99,8 @@ def d1_closed(s: int, t: int) -> int:
 
 
 def _h_square_value(n: int, m: int) -> int:
-    # Unguarded evaluator; domain calibration probes it outside the
-    # declared validity window.
+    # Unguarded evaluator: the verify registry's H-SQUARE row calls it
+    # when calibration probes past the declared window m <= n <= 2m.
     square = _d_table(n, n).get(n, n)
     if n <= m:
         return square
@@ -235,15 +235,17 @@ def s_free_printed(x: int, y: int) -> int:
     )
 
 
-def _s2_value(m: int, span: int, start_row: int, end_row: int) -> int:
-    # Unguarded evaluator shared with domain calibration.
-    total = s_free_closed(end_row - start_row, span)
+def _s2_value(dims: TableDims, start: Cell, end: Cell) -> int:
+    # Unguarded evaluator: the verify registry's S2 row calls it when
+    # calibration probes past the declared window.
+    m, span = dims.rows, end.col - start.col
+    total = s_free_closed(end.row - start.row, span)
     if span:
         d1 = _d1_table(m, span)
         for k in range(1, span + 1):
-            total -= d1.get(k, start_row) * s_free_closed(end_row, span - k)
-            total -= d1.get(k, m + 1 - start_row) * s_free_closed(
-                m + 1 - end_row, span - k
+            total -= d1.get(k, start.row) * s_free_closed(end.row, span - k)
+            total -= d1.get(k, m + 1 - start.row) * s_free_closed(
+                m + 1 - end.row, span - k
             )
     return total
 
@@ -268,7 +270,7 @@ def s2_closed(dims: TableDims, start: Cell, end: Cell) -> int:
             f"column span {span} exceeds declared domain rows+1 = "
             f"{dims.rows + 1}"
         )
-    return _s2_value(dims.rows, span, start.row, end.row)
+    return _s2_value(dims, start, end)
 
 
 def motzkin_number(k: int) -> int:

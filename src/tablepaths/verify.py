@@ -5,6 +5,17 @@ with the column-marching engine on the reference side (lhs) and the
 closed form under test on the other (rhs), and reports exact-equality
 results with the first counterexample in grid order.
 
+Each identity is one ``_REGISTRY`` row, walked alike by the suite and
+by calibration: its axes in grid order, with bounds that may depend on
+earlier axes (t <= s, x in -y..y); its declared window, if any, which
+the suite applies and calibration probes past with an unguarded
+evaluator; a ``sides`` function giving, for one prefix of the outer
+axes, the line of engine values and formula values over the last axis;
+its default domain and expected verdict; and, if it can be calibrated,
+a search box.  Engine tables come from ``dp`` through a memo made fresh
+for each run; formulas are looked up by name at every point, so a
+wrapped module attribute sees every call.
+
 Identity ids ending in ``-PRINTED`` evaluate deliberately retained
 wrong variants; the suite expects those to fail and marks them
 DOCUMENTED-FAILURE-CONFIRMED when they do.  All comparisons are exact
@@ -15,9 +26,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
-from itertools import product, starmap
-from typing import Callable, Iterator, Mapping, Optional
+from math import inf
+from operator import ne
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from . import dp, formulas
 from .core import Cell, TableDims
@@ -27,17 +38,15 @@ FAIL = "FAIL"
 DOCUMENTED_FAILURE = "DOCUMENTED-FAILURE"
 DOCUMENTED_FAILURE_CONFIRMED = "DOCUMENTED-FAILURE-CONFIRMED"
 
-Point = tuple[tuple[str, int], ...]
-Row = tuple[Point, int, int]
+CAP_AXES = ("m", "n", "s", "y", "k")  # every default-domain axis, CLI order
+_FORMULAS = vars(formulas)  # read by name at every point, so patches apply
 
 
 @dataclass(frozen=True)
 class IdentitySpec:
-    """One identity plus the grid it is checked on.
-
-    ``domain`` holds (axis, inclusive upper bound) pairs; lower bounds
-    and dependent ranges are fixed by the identity itself.
-    """
+    """One identity plus the grid it is checked on: ``domain`` holds
+    (axis, inclusive upper bound) pairs; lower bounds and dependent
+    ranges are fixed by the identity itself."""
 
     identity: str
     domain: tuple[tuple[str, int], ...]
@@ -49,7 +58,7 @@ class IdentitySpec:
 
 @dataclass(frozen=True)
 class Counterexample:
-    params: Point
+    params: tuple[tuple[str, int], ...]
     lhs: int  # reference side (engine)
     rhs: int  # formula side
 
@@ -63,13 +72,9 @@ class IdentityReport:
     verdict: str
 
     def to_dict(self) -> dict:
-        ce = None
-        if self.first_counterexample is not None:
-            ce = {
-                "params": dict(self.first_counterexample.params),
-                "lhs": str(self.first_counterexample.lhs),
-                "rhs": str(self.first_counterexample.rhs),
-            }
+        ce = self.first_counterexample
+        if ce is not None:
+            ce = {"params": dict(ce.params), "lhs": str(ce.lhs), "rhs": str(ce.rhs)}
         return {
             "identity": self.spec.identity,
             "expected": self.spec.expected,
@@ -81,182 +86,192 @@ class IdentityReport:
         }
 
 
-def _gen_a_closed(dom: Mapping[str, int]) -> Iterator[Row]:
-    n = dom["s"]
-    table = dp.a_table(n)
-    for s in range(1, n + 1):
-        for t in range(1, s + 1):
-            yield (("s", s), ("t", t)), table.get(s, t), formulas.a_closed(s, t)
+class _Engine(dict):
+    """One run's engine side, keyed (family, rows, cols, start row...).
+    Each ``dp`` table is looked up and built when first asked for, at the
+    run's widest column (from ``hi``: axis -> upper bound).  No run asks
+    for a table again after moving to another height, so only the
+    current height is kept, and each table is built once."""
+
+    def __init__(self, hi: Mapping[str, int]):
+        super().__init__()
+        self.hi = hi
+
+    def __missing__(self, key):
+        family, rows, cols, *start = key
+        for old in [k for k in self if k[1] != rows]:
+            del self[old]
+        if family == "dims":
+            value = TableDims(rows, cols)
+        elif family == "a_table":
+            value = dp.a_table(rows)
+        elif family == "starts":  # every start row of one height, in order
+            value = [self["di_table", rows, cols, r] for r in range(1, rows + 1)]
+        else:
+            value = getattr(dp, family)(self["dims", rows, cols], *start)
+        self[key] = value
+        return value
 
 
-# Generators that take a formula take its name in ``formulas`` and look
-# it up when they run, so a wrapped module attribute takes effect.
+def _rows(column: tuple, line: range) -> tuple:  # bottom row first
+    return column[line.start - 1 : line.stop - 1]
 
 
-def _gen_d1_formula(dom: Mapping[str, int], fn: str) -> Iterator[Row]:
-    formula = getattr(formulas, fn)
-    n = dom["s"]
-    # A table with n rows keeps every point wall-free.
-    table = dp.di_table(TableDims(n, n), 1)
-    for s in range(1, n + 1):
-        for t in range(1, s + 1):
-            yield (("s", s), ("t", t)), table.get(s, t), formula(s, t)
+def _triangle(family: str, *start: int) -> Callable:
+    """Sides for t <= s read from column s of one s x s table."""
+    return lambda eng, fn, s, ts: (
+        _rows(eng[(family, eng.hi["s"], eng.hi["s"], *start)].column(s), ts),
+        [_FORMULAS[fn](s, t) for t in ts],
+    )
 
 
-def _gen_h_square(dom: Mapping[str, int]) -> Iterator[Row]:
-    for m in range(1, dom["m"] + 1):
-        for n in range(m, min(2 * m, dom["n"]) + 1):
-            truth = dp.h_table(TableDims(m, n)).get(n, m)
-            yield (("m", m), ("n", n)), truth, formulas.h_via_square(n, m)
+def _h_square(eng, fn, m, ns):
+    d1 = eng["di_table", m, eng.hi["n"], 1]  # H(n, m) sums its column n
+    return [sum(d1.column(n)) for n in ns], [_FORMULAS[fn](n, m) for n in ns]
 
 
-# The grids below build one engine table per (m, start row) at the
-# widest column and read each narrower table as its column prefix: a
-# march from column 1 does not depend on how far it goes on.
+def _d1_split(eng, fn, m, n, ss):
+    truth = eng["di_table", m, eng.hi["n"], 1].get(n, m)
+    return [truth] * len(ss), [_FORMULAS[fn](n, m, s) for s in ss]
 
 
-def _gen_d1_split(dom: Mapping[str, int]) -> Iterator[Row]:
-    for m in range(1, dom["m"] + 1):
-        table = dp.di_table(TableDims(m, dom["n"]), 1)
-        for n in range(1, dom["n"] + 1):
-            truth = table.get(n, m)
-            for s in range(1, n + 1):
-                yield (
-                    (("m", m), ("n", n), ("s", s)),
-                    truth,
-                    formulas.d1_split(n, m, s),
-                )
+def _d_boundary(eng, fn, m, n, s, ts):
+    dims, table = eng["dims", m, n], eng["d_table", m, eng.hi["n"]]
+    return _rows(table.column(s), ts), [_FORMULAS[fn](dims, s, t) for t in ts]
 
 
-def _gen_d_boundary(dom: Mapping[str, int], fn: str) -> Iterator[Row]:
-    formula = getattr(formulas, fn)
-    for m in range(1, dom["m"] + 1):
-        table = dp.d_table(TableDims(m, dom["n"]))
-        for n in range(1, dom["n"] + 1):
-            dims = TableDims(m, n)
-            for s in range(1, n + 1):
-                for t in range(1, m + 1):
-                    yield (
-                        (("m", m), ("n", n), ("s", s), ("t", t)),
-                        table.get(s, t),
-                        formula(dims, s, t),
-                    )
+def _inner_product(eng, fn, m, n, cols):  # I_m(n) sums column n of D
+    truth, dims = sum(eng["d_table", m, eng.hi["n"]].column(n)), eng["dims", m, n]
+    return [truth] * len(cols), [_FORMULAS[fn](dims, a) for a in cols]
 
 
-def _gen_inner_product(dom: Mapping[str, int]) -> Iterator[Row]:
-    for m in range(1, dom["m"] + 1):
-        for n in range(1, dom["n"] + 1):
-            dims = TableDims(m, n)
-            truth = dp.imn(dims)
-            for a in range(1, n + 1):
-                yield (
-                    (("m", m), ("n", n), ("a", a)),
-                    truth,
-                    formulas.i_inner(dims, a),
-                )
+def _s_free(eng, fn, y, xs):
+    # One unwalled march per point: there is no table to share.
+    return [dp.free_count(x, y) for x in xs], [_FORMULAS[fn](x, y) for x in xs]
 
 
-def _gen_s_free(dom: Mapping[str, int], fn: str) -> Iterator[Row]:
-    formula = getattr(formulas, fn)
-    for y in range(dom["y"] + 1):
-        for x in range(-y, y + 1):
-            yield (("y", y), ("x", x)), dp.free_count(x, y), formula(x, y)
+def _s2(eng, fn, m, span, r0, ends):
+    # Column span + 1 from (1, r0); only the window bounds span in a suite.
+    table = eng["di_table", m, eng.hi.get("span", m + 1) + 1, r0]
+    dims, start = eng["dims", m, span + 1], Cell(1, r0)
+    rhs = [_FORMULAS[fn](dims, start, Cell(span + 1, r1)) for r1 in ends]
+    return _rows(table.column(span + 1), ends), rhs
 
 
-def _gen_s2(dom: Mapping[str, int]) -> Iterator[Row]:
-    for m in range(1, dom["m"] + 1):
-        # Column span + 1 of the table from (1, r0) holds the pair counts
-        # from (1, r0) over that span.
-        widest = TableDims(m, m + 2)
-        tables = [dp.di_table(widest, r0) for r0 in range(1, m + 1)]
-        for span in range(0, m + 2):  # declared domain: span <= m + 1
-            dims = TableDims(m, span + 1)
-            for r0 in range(1, m + 1):
-                for r1 in range(1, m + 1):
-                    start, end = Cell(1, r0), Cell(span + 1, r1)
-                    yield (
-                        (("m", m), ("span", span), ("r0", r0), ("r1", r1)),
-                        tables[r0 - 1].get(span + 1, r1),
-                        formulas.s2_closed(dims, start, end),
-                    )
+def _motzkin(eng, fn, ss):
+    d1 = eng["di_table", eng.hi["s"], eng.hi["s"], 1]
+    return [d1.get(s, 1) for s in ss], [_FORMULAS[fn](s - 1) for s in ss]
 
 
-def _gen_motzkin(dom: Mapping[str, int]) -> Iterator[Row]:
-    n = dom["s"]
-    table = dp.di_table(TableDims(n, n), 1)
-    for s in range(1, n + 1):
-        yield (("s", s),), table.get(s, 1), formulas.motzkin_number(s - 1)
+def _catalan(eng, fn, ks):
+    a = eng["a_table", 2 * eng.hi["k"] + 1, 2 * eng.hi["k"] + 1]
+    return [a.get(2 * k + 1, 1) for k in ks], [_FORMULAS[fn](k) for k in ks]
 
 
-def _gen_catalan(dom: Mapping[str, int]) -> Iterator[Row]:
-    kmax = dom["k"]
-    table = dp.a_table(2 * kmax + 1)
-    for k in range(kmax + 1):
-        yield (("k", k),), table.get(2 * k + 1, 1), formulas.catalan_number(k)
+def _flip(eng, fn, m, n, i, s, ts):
+    # Both sides are engine tables: start row m + 1 - i read upside down.
+    tables = eng["starts", m, eng.hi["n"]]
+    return _rows(tables[i - 1].column(s), ts), _rows(tables[m - i].column(s)[::-1], ts)
 
 
-def _gen_flip(dom: Mapping[str, int]) -> Iterator[Row]:
-    for m in range(1, dom["m"] + 1):
-        widest = TableDims(m, dom["n"])
-        tables = [dp.di_table(widest, i) for i in range(1, m + 1)]
-        for n in range(1, dom["n"] + 1):
-            for i in range(1, m + 1):
-                flipped = tables[m - i]  # start row m + 1 - i
-                for s in range(1, n + 1):
-                    for t in range(1, m + 1):
-                        yield (
-                            (("m", m), ("n", n), ("i", i), ("s", s), ("t", t)),
-                            tables[i - 1].get(s, t),
-                            flipped.get(s, m + 1 - t),
-                        )
+def _reversal(eng, fn, ns):
+    lhs = [eng["d_table", n, n].get(n, n) for n in ns]
+    return lhs, [eng["h_table", n, n].get(n, n) for n in ns]
 
 
-def _gen_reversal(dom: Mapping[str, int]) -> Iterator[Row]:
-    for n in range(1, dom["n"] + 1):
-        dims = TableDims(n, n)
-        yield (
-            (("n", n),),
-            dp.d_table(dims).get(n, n),
-            dp.h_table(dims).get(n, n),
-        )
+def _axis(name: str, lo: int = 1, upto: str = "") -> tuple:
+    """(name, bounds): earlier axis values -> (lo, upto's value or inf)."""
+    return name, (lambda p: (lo, p[upto])) if upto else (lambda p: (lo, inf))
 
 
-# id -> (default domain, generator, expected verdict class)
-_REGISTRY: dict[str, tuple[dict[str, int], Callable, str]] = {
-    "A-CLOSED": ({"s": 12}, _gen_a_closed, PASS),
-    "D1-VIA-A": ({"s": 12}, partial(_gen_d1_formula, fn="d1_via_a"), PASS),
-    "D1-CLOSED": ({"s": 12}, partial(_gen_d1_formula, fn="d1_closed"), PASS),
-    "H-SQUARE": ({"m": 6, "n": 12}, _gen_h_square, PASS),
-    "D1-SPLIT": ({"m": 6, "n": 12}, _gen_d1_split, PASS),
-    "D-BOUNDARY": (
-        {"m": 6, "n": 12},
-        partial(_gen_d_boundary, fn="d_boundary"),
-        PASS,
+class _Identity(NamedTuple):
+    axes: tuple  # (name, bounds) in grid order
+    sides: Callable  # (engine, formula, outer values..., line) -> lines
+    domain: dict  # axis -> default cap
+    expected: str
+    formula: str = ""  # the ``formulas`` attribute the suite checks
+    window: tuple = ()  # (axis, bounds, unguarded evaluator checked past it)
+    search: tuple = ()  # (axis, (lo, hi)) in shrink order
+
+
+_M, _N, _S = _axis("m"), _axis("n"), _axis("s")
+_MN, _MNS = {"m": 6, "n": 12}, (_M, _N, _axis("s", upto="n"))
+_MNST = (*_MNS, _axis("t", upto="m"))
+_D_BOX = (("m", (1, 6)), ("n", (1, 12)), ("s", (1, 12)), ("t", (1, 6)))
+_ST = (_S, _axis("t", upto="s"))
+_YX = (_axis("y", 0), ("x", lambda p: (-p["y"], p["y"])))
+_DOC = DOCUMENTED_FAILURE
+
+_REGISTRY: dict[str, _Identity] = {
+    "A-CLOSED": _Identity(_ST, _triangle("a_table"), {"s": 12}, PASS, "a_closed"),
+    "D1-VIA-A": _Identity(_ST, _triangle("di_table", 1), {"s": 12}, PASS, "d1_via_a"),
+    "D1-CLOSED": _Identity(_ST, _triangle("di_table", 1), {"s": 12}, PASS, "d1_closed"),
+    "H-SQUARE": _Identity(
+        (_M, _N), _h_square, _MN, PASS, "h_via_square",
+        ("n", lambda p: (p["m"], 2 * p["m"]), "_h_square_value"),
+        (("m", (1, 5)), ("n", (1, 12))),
     ),
-    "D-BOUNDARY-PRINTED": (
-        {"m": 6, "n": 12},
-        partial(_gen_d_boundary, fn="d_boundary_printed"),
-        DOCUMENTED_FAILURE,
+    "D1-SPLIT": _Identity(_MNS, _d1_split, _MN, PASS, "d1_split"),
+    "D-BOUNDARY": _Identity(_MNST, _d_boundary, _MN, PASS, "d_boundary", search=_D_BOX),
+    "D-BOUNDARY-PRINTED": _Identity(
+        _MNST, _d_boundary, _MN, _DOC, "d_boundary_printed", search=_D_BOX
     ),
-    "INNER-PRODUCT": ({"m": 6, "n": 12}, _gen_inner_product, PASS),
-    "S-FREE": ({"y": 10}, partial(_gen_s_free, fn="s_free_closed"), PASS),
-    "S-FREE-PRINTED": (
-        {"y": 10},
-        partial(_gen_s_free, fn="s_free_printed"),
-        DOCUMENTED_FAILURE,
+    "INNER-PRODUCT": _Identity(
+        (_M, _N, _axis("a", upto="n")), _inner_product, _MN, PASS, "i_inner"
     ),
-    "S2": ({"m": 5}, _gen_s2, PASS),
-    "MOTZKIN-EDGE": ({"s": 8}, _gen_motzkin, PASS),
-    "CATALAN-EDGE": ({"k": 5}, _gen_catalan, PASS),
-    "FLIP-SYMMETRY": ({"m": 6, "n": 12}, _gen_flip, PASS),
-    "REVERSAL": ({"n": 10}, _gen_reversal, PASS),
+    "S-FREE": _Identity(_YX, _s_free, {"y": 10}, PASS, "s_free_closed"),
+    "S-FREE-PRINTED": _Identity(_YX, _s_free, {"y": 10}, _DOC, "s_free_printed"),
+    "S2": _Identity(
+        (_M, _axis("span", 0), _axis("r0", upto="m"), _axis("r1", upto="m")),
+        _s2, {"m": 5}, PASS, "s2_closed",
+        ("span", lambda p: (0, p["m"] + 1), "_s2_value"),
+        (("m", (1, 4)), ("span", (0, 8))),
+    ),
+    "MOTZKIN-EDGE": _Identity((_S,), _motzkin, {"s": 8}, PASS, "motzkin_number"),
+    "CATALAN-EDGE": _Identity(
+        (_axis("k", 0),), _catalan, {"k": 5}, PASS, "catalan_number"
+    ),
+    "FLIP-SYMMETRY": _Identity(
+        (_M, _N, _axis("i", upto="m"), _axis("s", upto="n"), _axis("t", upto="m")),
+        _flip, _MN, PASS,
+    ),
+    "REVERSAL": _Identity((_N,), _reversal, {"n": 10}, PASS),
 }
 
 IDENTITY_IDS = tuple(_REGISTRY)
 
-# Smallest upper bound per axis at which every identity that uses the
-# axis still has at least one grid point.
-_AXIS_MIN = {"m": 1, "n": 1, "s": 1, "y": 0, "k": 0}
+
+def _row(identity: str) -> _Identity:
+    if identity not in _REGISTRY:
+        raise ValueError(f"unknown identity id {identity!r}")
+    return _REGISTRY[identity]
+
+
+def _lines(row: _Identity, box: Mapping, probe: bool):
+    """(outer point, last-axis range, engine line, formula line) for each
+    nonempty line of the grid in ``box`` (axis -> (lo, hi)), in grid
+    order: a suite run is also cut to the window, a ``probe`` is not and
+    checks the unguarded evaluator instead.  The memo is fresh per walk."""
+    eng = _Engine({axis: hi for axis, (_, hi) in box.items()})
+    fn = row.window[2] if probe and row.window else row.formula
+    window = dict([row.window[:2]]) if row.window and not probe else {}
+    # A window lies within its axis's bounds, so it stands in for them.
+    cuts = [(a, window.get(a, b), *box.get(a, (-inf, inf))) for a, b in row.axes]
+    point: dict[str, int] = {}
+
+    def walk(k):
+        name, bounds, blo, bhi = cuts[k]
+        lo, hi = bounds(point)
+        values = range(max(lo, blo), min(hi, bhi) + 1)
+        if k + 1 < len(cuts):
+            for value in values:
+                point[name] = value
+                yield from walk(k + 1)
+        elif values:
+            prefix = tuple(point.values())
+            yield (prefix, values, *row.sides(eng, fn, *prefix, values))
+
+    return walk(0)
 
 
 def default_spec(
@@ -264,48 +279,40 @@ def default_spec(
 ) -> IdentitySpec:
     """Spec for one identity, with optional axis upper-bound overrides.
 
-    Override keys that the identity does not use are ignored; an
+    Override keys outside the identity's default domain are ignored; an
     override below its axis's lower bound (1 for m, n and s, 0 for y
     and k) is rejected, because it would leave the grid empty.
     """
-    if identity not in _REGISTRY:
-        raise ValueError(f"unknown identity id {identity!r}")
-    domain, _, expected = _REGISTRY[identity]
-    merged = dict(domain)
+    row = _row(identity)
+    merged = dict(row.domain)
     for axis, value in (overrides or {}).items():
         if axis in merged:
-            if value < _AXIS_MIN[axis]:
-                raise ValueError(
-                    f"{identity}: max {axis} must be at least "
-                    f"{_AXIS_MIN[axis]}, got {value}"
-                )
+            least = dict(row.axes)[axis]({})[0]
+            if value < least:
+                msg = f"{identity}: max {axis} must be at least {least}, got {value}"
+                raise ValueError(msg)
             merged[axis] = value
-    return IdentitySpec(identity, tuple(sorted(merged.items())), expected)
+    return IdentitySpec(identity, tuple(sorted(merged.items())), row.expected)
 
 
-def default_suite(
-    overrides: Optional[Mapping[str, int]] = None,
-) -> list[IdentitySpec]:
+def default_suite(overrides: Optional[Mapping[str, int]] = None) -> list[IdentitySpec]:
     return [default_spec(identity, overrides) for identity in IDENTITY_IDS]
 
 
 def run_identity(spec: IdentitySpec) -> IdentityReport:
     """Evaluate both sides on every grid point; deterministic report.
-
-    A run that checks no case is FAIL whatever the expected verdict.
-    """
-    if spec.identity not in _REGISTRY:
-        raise ValueError(f"unknown identity id {spec.identity!r}")
-    _, gen, _ = _REGISTRY[spec.identity]
-    cases = 0
-    failures = 0
-    first: Optional[Counterexample] = None
-    for params, lhs, rhs in gen(spec.domain_dict()):
-        cases += 1
-        if lhs != rhs:
-            failures += 1
-            if first is None:
-                first = Counterexample(params, lhs, rhs)
+    A run that checks no case is FAIL whatever the expected verdict."""
+    row, dom = _row(spec.identity), spec.domain_dict()
+    box = {axis: (-inf, dom[axis]) for axis in row.domain}
+    cases, failures, first = 0, 0, None
+    for prefix, values, lhs, rhs in _lines(row, box, probe=False):
+        cases += len(values)
+        bad = sum(map(ne, lhs, rhs))
+        failures += bad
+        if bad and first is None:
+            k = next(k for k in range(len(values)) if lhs[k] != rhs[k])
+            params = tuple(zip(dict(row.axes), (*prefix, values[k])))
+            first = Counterexample(params, lhs[k], rhs[k])
     if spec.expected == PASS:
         verdict = PASS if failures == 0 and cases > 0 else FAIL
     else:
@@ -331,11 +338,6 @@ def reports_to_json(reports: list[IdentityReport]) -> str:
         "all_as_expected": all(verdict_as_expected(r) for r in reports),
     }
     return json.dumps(payload, indent=2)
-
-
-# ---------------------------------------------------------------------------
-# Domain calibration
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -367,82 +369,41 @@ class CalibrationResult:
         }
 
 
-def _h_square_fails(m: int, n: int) -> bool:
-    # H(n, m) sums column n of the start-row-1 table.
-    truth = sum(formulas._d1_table(m, n).column(n))
-    return formulas._h_square_value(n, m) != truth
-
-
-def _s2_fails(m: int, span: int) -> bool:
-    dims = TableDims(m, span + 1)
-    for r0 in range(1, m + 1):
-        # The last column of the table from (1, r0) holds the pair
-        # counts from (1, r0) to every end row.
-        truth = dp.di_table(dims, r0).column(span + 1)
-        for r1 in range(1, m + 1):
-            if formulas._s2_value(m, span, r0, r1) != truth[r1 - 1]:
-                return True
-    return False
-
-
-def _d_boundary_fails(fn: str, m: int, n: int, s: int, t: int) -> bool:
-    if s > n or t > m:
-        return False
-    table = formulas._d_table(m, n)
-    return getattr(formulas, fn)(table.dims, s, t) != table.get(s, t)
-
-
-_D_BOUNDARY_AXES = (("m", (1, 6)), ("n", (1, 12)), ("s", (1, 12)), ("t", (1, 6)))
-
-# id -> (axes in shrink order with their searched (lo, hi), failure
-# predicate taking one value per axis and False off the domain, s > n)
-_CALIBRATION: dict[str, tuple[tuple, Callable[..., bool]]] = {
-    "H-SQUARE": ((("m", (1, 5)), ("n", (1, 12))), _h_square_fails),
-    "S2": ((("m", (1, 4)), ("span", (0, 8))), _s2_fails),
-    "D-BOUNDARY": (_D_BOUNDARY_AXES, partial(_d_boundary_fails, "d_boundary")),
-    "D-BOUNDARY-PRINTED": (
-        _D_BOUNDARY_AXES,
-        partial(_d_boundary_fails, "d_boundary_printed"),
-    ),
-}
-
-
-def _passes_up_to(fails: Callable[..., bool], box: dict, axis: str) -> int:
-    """Largest b such that ``fails`` holds nowhere in the box (axis ->
-    (lo, hi), in the predicate's argument order) with ``axis`` cut to
-    (lo, b): one below the first failing value of ``axis``, else the top
-    of its range (lo - 1 if it is empty).  Cutting a failure-free box
-    keeps it failure-free, so scanning up from lo finds b."""
-    lo, hi = box[axis]
-    for value in range(lo, hi + 1):
-        slab = {**box, axis: (value, value)}.values()
-        points = product(*(range(a, b + 1) for a, b in slab))
-        if any(starmap(fails, points)):
-            return value - 1
-    return max(hi, lo - 1)
-
-
 def calibrate_domain(
     identity: str, overrides: Optional[Mapping[str, int]] = None
 ) -> CalibrationResult:
-    """Probe an identity over a search box and report where it holds.
+    """Probe an identity over its search box, past any window with the
+    row's unguarded evaluator, and report where it holds.
 
     The axis box is shrunk greedily: axes are visited in declared order
     (m first) and each axis upper bound is lowered to the largest value
     that removes every failure given the other axes' current ranges; an
     axis whose full collapse still leaves failures is left untouched.
     """
-    if identity not in _CALIBRATION:
+    row = _REGISTRY.get(identity)
+    if row is None or not row.search:
         raise ValueError(f"no calibration defined for identity {identity!r}")
-    axes, fails = _CALIBRATION[identity]
-    caps = overrides or {}
-    searched = tuple(
-        (name, (lo, min(hi, caps.get(name, hi)))) for name, (lo, hi) in axes
-    )
+    caps, declared = overrides or {}, dict(row.search)
+    searched = tuple((a, (lo, min(hi, caps.get(a, hi)))) for a, (lo, hi) in row.search)
+    names = [name for name, _ in row.axes]
+    fails = [  # every failing point of the declared box, walked once
+        dict(zip(names, (*prefix, v)))
+        for prefix, values, lhs, rhs in _lines(row, declared, probe=True)
+        for v, a, b in zip(values, lhs, rhs)
+        if a != b
+    ]
+
+    def passes_up_to(box: dict, axis: str) -> int:
+        """Largest b such that no failure lies in ``box`` with ``axis`` cut
+        to (lo, b): one below its least failing value in the box, else
+        the top of its range (lo - 1 if it is empty)."""
+        inside = [p for p in fails if all(a <= p[x] <= b for x, (a, b) in box.items())]
+        lo, hi = box[axis]
+        return min(p[axis] for p in inside) - 1 if inside else max(hi, lo - 1)
 
     box = dict(searched)
     for name, (lo, hi) in searched:
-        bound = _passes_up_to(fails, box, name)
+        bound = passes_up_to(box, name)
         if bound >= hi:  # no failure left in the box
             break
         if bound >= lo:
@@ -453,12 +414,6 @@ def calibrate_domain(
     (p_name, (plo, phi)), (q_name, (qlo, qhi)) = searched[:2]
     profile = []
     for p in range(plo, phi + 1):
-        row = {**dict(axes), p_name: (p, p), q_name: (qlo, qhi)}
-        profile.append((p, _passes_up_to(fails, row, q_name)))
-
-    return CalibrationResult(
-        identity=identity,
-        searched=searched,
-        axis_box=tuple(box.items()),
-        profile=tuple(profile),
-    )
+        scan = {**declared, p_name: (p, p), q_name: (qlo, qhi)}
+        profile.append((p, passes_up_to(scan, q_name)))
+    return CalibrationResult(identity, searched, tuple(box.items()), tuple(profile))

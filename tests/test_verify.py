@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 
 from tablepaths import dp, formulas
 from tablepaths.core import TableDims
 from tablepaths.verify import (
+    CAP_AXES,
     IDENTITY_IDS,
     IdentitySpec,
     calibrate_domain,
@@ -36,14 +39,29 @@ def test_registry_covers_every_identity():
     assert set(IDENTITY_IDS) == EXPECTED_PASS | EXPECTED_DOCUMENTED
 
 
+def test_cap_axes_are_the_default_domain_axes():
+    # The CLI adds one --max-<axis> option per entry, so each must cap
+    # some identity and every capped axis must have an option.
+    domains = {axis for spec in default_suite() for axis, _ in spec.domain}
+    assert set(CAP_AXES) == domains and len(CAP_AXES) == len(domains)
+
+
 def test_unknown_identity_rejected():
     with pytest.raises(ValueError):
         default_spec("NOPE")
 
 
+def _json_digest(reports) -> str:
+    # sha256 of `verify --format json` stdout: the json plus a newline.
+    return hashlib.sha256((reports_to_json(reports) + "\n").encode()).hexdigest()
+
+
 def test_default_suite_partition():
     reports, all_ok = run_suite(default_suite())
     assert all_ok
+    assert _json_digest(reports) == (
+        "81dcfc3ee5bb4752d103a93d4b366aea2e1c4f1683b4cceaa706ea55071e71b6"
+    )
     by_id = {r.spec.identity: r for r in reports}
     for identity in EXPECTED_PASS:
         rep = by_id[identity]
@@ -55,6 +73,10 @@ def test_default_suite_partition():
         assert rep.verdict == "DOCUMENTED-FAILURE-CONFIRMED", identity
         assert rep.failures > 0
         assert rep.first_counterexample is not None
+    assert {i: by_id[i].failures for i in EXPECTED_DOCUMENTED} == {
+        "D-BOUNDARY-PRINTED": 1246,
+        "S-FREE-PRINTED": 116,
+    }
 
 
 def test_first_counterexamples_are_frozen_grid_minima():
@@ -67,6 +89,21 @@ def test_first_counterexamples_are_frozen_grid_minima():
     ce = rep.first_counterexample
     assert dict(ce.params) == {"y": 0, "x": 0}
     assert (ce.lhs, ce.rhs) == (1, 0)
+
+
+def test_first_counterexample_is_first_in_its_line(monkeypatch):
+    # Two wrong values in one line (s = 3, t = 2 and 3): both count, and
+    # the first in grid order is reported.  The patched module attribute
+    # takes effect because formulas are looked up by name when they run.
+    real = formulas.d1_via_a
+    monkeypatch.setattr(
+        formulas, "d1_via_a", lambda s, t: real(s, t) + (s == 3 and t >= 2)
+    )
+    rep = run_identity(default_spec("D1-VIA-A", {"s": 4}))
+    assert rep.failures == 2
+    ce = rep.first_counterexample
+    assert dict(ce.params) == {"s": 3, "t": 2}
+    assert ce.rhs == ce.lhs + 1 == real(3, 2) + 1
 
 
 def test_restricting_printed_identity_to_passing_box_deviates():
@@ -129,7 +166,7 @@ def test_zero_case_run_is_never_pass(spec):
 def _count_engine_builds(monkeypatch) -> list:
     """Record (function name, args) of every dp table build and march."""
     calls = []
-    for name in ("di_table", "d_table", "bounded_pair_count"):
+    for name in ("di_table", "d_table", "bounded_pair_count", "h_table", "imn"):
         real = getattr(dp, name)
 
         def counted(*args, _name=name, _real=real):
@@ -173,6 +210,23 @@ def test_engine_tables_built_once_per_shape(monkeypatch):
         for i in range(1, m + 1)
     ]
 
+    # H(n, m) and I_m(n) are column sums of tables built once per m, not
+    # a prefix-sum table or a march per (m, n).
+    calls.clear()
+    run_identity(default_spec("H-SQUARE", DOUBLED_GRID))
+    assert [name for name, _ in calls].count("h_table") == 0
+    calls.clear()
+    run_identity(default_spec("INNER-PRODUCT", DOUBLED_GRID))
+    assert [name for name, _ in calls].count("imn") == 0
+
+    # One engine table per (m, r0) at the widest span, 10, plus one
+    # formula-side table per (m, span) with span >= 1, 32; a table per
+    # (m, span, r0) would make 212.
+    formulas._d1_table.cache_clear()
+    calls.clear()
+    calibrate_domain("S2")
+    assert len([a for name, a in calls if name == "di_table"]) <= 42
+
 
 DOUBLED_GRID = {"m": 12, "n": 24, "s": 24, "y": 20, "k": 10}
 DOUBLED_CASES = {
@@ -198,6 +252,13 @@ def test_doubled_grid_suite():
     reports, all_ok = run_suite(default_suite(DOUBLED_GRID))
     assert all_ok
     assert {r.spec.identity: r.cases_checked for r in reports} == DOUBLED_CASES
+    assert {r.spec.identity: r.failures for r in reports if r.failures} == {
+        "D-BOUNDARY-PRINTED": 18773,
+        "S-FREE-PRINTED": 436,
+    }
+    assert _json_digest(reports) == (
+        "4f324ff307ae7eace21acaddfa474788f481cb58bac8066f122b87567a5b5fba"
+    )
 
 
 def test_reports_serialize_deterministically():
