@@ -1,9 +1,11 @@
 """Independent brute-force enumerator over lattice words.
 
 This module is the trust anchor: it never consults the column-marching
-engine or the closed forms, only the step definitions.  Enumeration is
-depth-first with pruning of any prefix that violates confinement or can
-no longer reach its target row, so the configured cap stays usable.
+engine or the closed forms, only the step definitions.  One depth-first
+search on an explicit stack, ``_search``, lists every word and backs
+every brute count.  It prunes any prefix that leaves [floor, ceiling] or
+can no longer reach its target row, and it has no recursion limit, so
+word length is bounded only by the configured cap.
 """
 
 from __future__ import annotations
@@ -76,25 +78,60 @@ class WordFilter:
             end_row=end_row,
         )
 
-    def _start_rows(self) -> list[int]:
-        if self.start_row is not None:
-            if self.floor is not None and self.start_row < self.floor:
-                return []
-            if self.ceiling is not None and self.start_row > self.ceiling:
-                return []
-            return [self.start_row]
-        if self.floor is None or self.ceiling is None:
-            raise ValueError(
-                "start_row is required when rows are not fully confined"
-            )
-        return list(range(self.floor, self.ceiling + 1))
 
-    def _target_row(self, start: int) -> Optional[int]:
-        if self.end_row is not None:
-            return self.end_row
-        if self.net_displacement is not None:
-            return start + self.net_displacement
-        return None
+def _search(
+    length: int, filt: WordFilter, cap: int, what: str = "word length"
+) -> Iterator[tuple[int, str]]:
+    """Yield ``(start_row, letters)`` for every word the filter admits,
+    start rows ascending, then lexicographic with u < r < d.
+
+    The window of admissible rows for each number of letters left is
+    computed once per start row; a prefix outside it is pruned.
+    """
+    if length < 0:
+        raise ValueError("length must be nonnegative")
+    _check_cap(length, cap, what)
+    floor, ceiling = filt.floor, filt.ceiling
+    if filt.start_row is not None:
+        starts = range(filt.start_row, filt.start_row + 1)
+    elif floor is None or ceiling is None:
+        raise ValueError(
+            "start_row is required when rows are not fully confined"
+        )
+    else:
+        starts = range(floor, ceiling + 1)
+    # Inner prefixes are pushed d, r, u so that u pops first; the last
+    # letter is yielded straight away, u first.
+    pushes = [(ch, STEP_RISE[ch]) for ch in reversed(filt.alphabet)]
+    lasts = pushes[::-1]
+    for start in starts:
+        target = filt.end_row
+        if filt.net_displacement is not None:
+            target = start + filt.net_displacement
+        low = start - length if floor is None else floor
+        high = start + length if ceiling is None else ceiling
+        lows, highs = [low] * (length + 1), [high] * (length + 1)
+        if target is not None:
+            lows = [max(low, target - left) for left in range(length + 1)]
+            highs = [min(high, target + left) for left in range(length + 1)]
+        if not lows[length] <= start <= highs[length]:
+            continue
+        if not length:
+            yield start, ""
+            continue
+        stack = [(start, "")]
+        push = stack.append
+        while stack:
+            row, letters = stack.pop()
+            left = length - len(letters) - 1
+            lo, hi = lows[left], highs[left]
+            for ch, rise in pushes if left else lasts:
+                nxt = row + rise
+                if lo <= nxt <= hi:
+                    if left:
+                        push((nxt, letters + ch))
+                    else:
+                        yield start, letters + ch
 
 
 def enumerate_words(
@@ -102,66 +139,8 @@ def enumerate_words(
 ) -> Iterator[LatticeWord]:
     """Yield every word of the given length satisfying the filter, in
     lexicographic order with u < r < d and start rows ascending."""
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    _check_cap(length, cap, "word length")
-    rises = [(ch, STEP_RISE[ch]) for ch in filt.alphabet]
-    floor, ceiling = filt.floor, filt.ceiling
-
-    def gen(row: int, remaining: int, prefix: str, target: Optional[int]):
-        if remaining == 0:
-            yield prefix
-            return
-        for ch, rise in rises:
-            nxt = row + rise
-            if floor is not None and nxt < floor:
-                continue
-            if ceiling is not None and nxt > ceiling:
-                continue
-            if target is not None and abs(target - nxt) > remaining - 1:
-                continue
-            yield from gen(nxt, remaining - 1, prefix + ch, target)
-
-    for start in filt._start_rows():
-        target = filt._target_row(start)
-        if target is not None and abs(target - start) > length:
-            continue
-        for letters in gen(start, length, "", target):
-            yield LatticeWord(letters, start)
-
-
-def _count_words(
-    length: int, filt: WordFilter, cap: int, what: str = "word length"
-) -> int:
-    """Counting twin of :func:`enumerate_words`, no word objects built."""
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    _check_cap(length, cap, what)
-    rises = [STEP_RISE[ch] for ch in filt.alphabet]
-    floor, ceiling = filt.floor, filt.ceiling
-
-    def count(row: int, remaining: int, target: Optional[int]) -> int:
-        if remaining == 0:
-            return 1
-        total = 0
-        for rise in rises:
-            nxt = row + rise
-            if floor is not None and nxt < floor:
-                continue
-            if ceiling is not None and nxt > ceiling:
-                continue
-            if target is not None and abs(target - nxt) > remaining - 1:
-                continue
-            total += count(nxt, remaining - 1, target)
-        return total
-
-    total = 0
-    for start in filt._start_rows():
-        target = filt._target_row(start)
-        if target is not None and abs(target - start) > length:
-            continue
-        total += count(start, length, target)
-    return total
+    for start, letters in _search(length, filt, cap):
+        yield LatticeWord(letters, start)
 
 
 def brute_pair_count(
@@ -170,7 +149,8 @@ def brute_pair_count(
     """Count confined paths between two cells by direct enumeration."""
     check_pair(dims, start, end)
     filt = WordFilter.in_table(dims, start_row=start.row, end_row=end.row)
-    return _count_words(end.col - start.col, filt, cap, "column span")
+    span = end.col - start.col
+    return sum(1 for _ in _search(span, filt, cap, "column span"))
 
 
 def brute_imn(dims: TableDims, cap: int = DEFAULT_CAP) -> int:
@@ -179,7 +159,7 @@ def brute_imn(dims: TableDims, cap: int = DEFAULT_CAP) -> int:
     _check_cap(dims.cols, cap, "table width")
     _check_cap(dims.rows, cap, "table height")
     filt = WordFilter.in_table(dims)
-    return _count_words(dims.cols - 1, filt, cap)
+    return sum(1 for _ in _search(dims.cols - 1, filt, cap))
 
 
 def brute_free(x: int, y: int, cap: int = DEFAULT_CAP) -> int:
@@ -187,4 +167,4 @@ def brute_free(x: int, y: int, cap: int = DEFAULT_CAP) -> int:
     if y < 0:
         raise ValueError("y must be nonnegative")
     filt = WordFilter(start_row=0, net_displacement=x)
-    return _count_words(y, filt, cap)
+    return sum(1 for _ in _search(y, filt, cap))

@@ -290,6 +290,16 @@ def test_words_net_filter(capsys):
     assert [line.split()[0] for line in out.splitlines()] == ["ud", "rr", "du"]
 
 
+def test_words_deep_word_prints_without_recursion_error(capsys):
+    # 1,200 letters is past Python's default recursion limit.
+    code, out, err = run_cli(
+        capsys, "words", "--length", "1200", "--cap", "2000", "--start", "1",
+        "--net", "1200",
+    )
+    trace = ",".join(str(r) for r in range(1, 1202))
+    assert (code, out, err) == (0, "u" * 1200 + " " + trace + "\n", "")
+
+
 def test_module_invocation_subprocess():
     proc = subprocess.run(
         [

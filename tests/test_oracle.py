@@ -86,6 +86,15 @@ def test_cap_errors_name_the_cap():
     assert brute_free(0, 15, cap=15) == free_count(0, 15)
 
 
+def test_deep_counts_need_no_recursion():
+    # Both depths are past Python's default recursion limit.
+    assert brute_free(1500, 1500, cap=2000) == 1
+    dims, start, end = TableDims(1, 1201), Cell(1, 1), Cell(1201, 1)
+    with pytest.raises(CapExceededError, match="column span 1200"):
+        brute_pair_count(dims, start, end)
+    assert brute_pair_count(dims, start, end, cap=1200) == 1
+
+
 def test_brute_pair_count_examples():
     assert brute_pair_count(TableDims(2, 3), Cell(1, 1), Cell(3, 2)) == 2
     assert brute_pair_count(TableDims(4, 6), Cell(2, 2), Cell(3, 3)) == 1
