@@ -26,7 +26,7 @@ CAP_ENV_VAR = "TABLEPATHS_ORACLE_CAP"
 FORMATS = ("csv", "json", "markdown")
 TABLE_KINDS = ("d1", "d", "a", "h")
 SEQUENCE_TARGETS = ("imn-fixed-m", "d1-bottom-row")
-WORD_BATCH = 4096  # words formatted per write
+WORD_BATCH = 4096  # list items (words, sequence values) formatted per write
 
 
 class UsageError(Exception):
@@ -56,6 +56,23 @@ def _write_json(out: TextIO, head: str, key: str, chunks: Iterable[str]) -> None
     out.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
 
 
+def _write_list(fmt, items, head, key, json_item, csv_header, line) -> None:
+    """Write ``items`` in batches of WORD_BATCH: as the json list ``key``
+    after the members ``head``, else one ``line`` each, under ``csv_header``
+    in csv.  Taking the first item before any write keeps errors off stdout."""
+    first = next(items, None)
+    if first is not None:
+        items = chain([first], items)
+    batches = iter(lambda: list(islice(items, WORD_BATCH)), [])
+    if fmt == "json":
+        chunks = (",\n".join(map(json_item, batch)) for batch in batches)
+        return _write_json(sys.stdout, head, key, chunks)
+    if fmt == "csv":
+        sys.stdout.write(csv_header)
+    for batch in batches:
+        sys.stdout.write("".join(map(line, batch)))
+
+
 def render_table_csv(out: TextIO, matrix: CountMatrix) -> None:
     out.write("s,t,value\n")
     rows = range(1, matrix.dims.rows + 1)
@@ -63,15 +80,22 @@ def render_table_csv(out: TextIO, matrix: CountMatrix) -> None:
         out.write("".join(map(f"{s},{{}},{{}}\n".format, rows, col)))
 
 
+def _parsed_table(dims: TableDims, entries: Iterable[Sequence]) -> CountMatrix:
+    """The table whose (s, t, value) entries name each cell of ``dims``
+    exactly once; anything else raises a one-line ValueError."""
+    entries = sorted(entries)  # column-major, like the cells below
+    cells = [(s, t) for s in range(1, dims.cols + 1) for t in range(1, dims.rows + 1)]
+    if [(s, t) for s, t, _ in entries] != cells:
+        raise ValueError(f"entries must name each cell of {dims.rows}x{dims.cols} once")
+    ints = iter([int(str(v)) for _, _, v in entries])  # so 1.5 fails, not rounds
+    return CountMatrix(dims, [list(islice(ints, dims.rows)) for _ in range(dims.cols)])
+
+
 def parse_table_csv(text: str) -> CountMatrix:
     rows = [line.split(",") for line in text.strip().splitlines()[1:]]
-    cells = {(int(s), int(t)): int(v) for s, t, v in rows}
-    cols = max(s for s, _ in cells)
-    height = max(t for _, t in cells)
-    dims = TableDims(height, cols)
-    columns = [[cells[(s, t)] for t in range(1, height + 1)]
-               for s in range(1, cols + 1)]
-    return CountMatrix(dims, columns)
+    entries = [(int(s), int(t), v) for s, t, v in rows]
+    cols, height, _ = max(entries, default=(0, 0, ""))  # the corner (cols, rows)
+    return _parsed_table(TableDims(height, cols), entries)
 
 
 def render_table_json(out: TextIO, matrix: CountMatrix, kind: str) -> None:
@@ -87,11 +111,11 @@ def render_table_json(out: TextIO, matrix: CountMatrix, kind: str) -> None:
 
 def parse_table_json(text: str) -> CountMatrix:
     payload = json.loads(text)
-    dims = TableDims(payload["dims"]["rows"], payload["dims"]["cols"])
-    columns = [[0] * dims.rows for _ in range(dims.cols)]
-    for s, t, v in payload["entries"]:
-        columns[s - 1][t - 1] = int(v)
-    return CountMatrix(dims, columns)
+    try:
+        dims = TableDims(payload["dims"]["rows"], payload["dims"]["cols"])
+        return _parsed_table(dims, payload["entries"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"not a table json document ({exc!r})") from None
 
 
 def render_table_markdown(
@@ -123,9 +147,7 @@ def _build_table(kind: str, rows: int, cols: int) -> CountMatrix:
         if rows != cols:
             raise UsageError("kind 'a' is a square family; use --rows == --cols")
         return dp.a_table(cols)
-    if kind == "h":
-        return dp.h_table(dims)
-    raise UsageError(f"unknown table kind {kind!r}")
+    return dp.h_table(dims)
 
 
 def _cmd_table(args) -> int:
@@ -159,18 +181,12 @@ def _cmd_sequence(args) -> int:
         values = dp.imn_sequence(args.rows, args.max_n)
     else:
         values = dp.d1_bottom_row(args.rows, args.max_n)
-    if args.format == "csv":
-        lines = ["n,value"] + [f"{n},{v}" for n, v in enumerate(values, start=1)]
-        sys.stdout.write("\n".join(lines) + "\n")
-    elif args.format == "json":
-        payload = {
-            "target": args.target,
-            "rows": args.rows,
-            "values": [[n, str(v)] for n, v in enumerate(values, start=1)],
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        sys.stdout.write("\n".join(str(v) for v in values) + "\n")
+    str(max(values))  # past the int->str digit limit: fail before any write
+    head = f'  "target": "{args.target}",\n  "rows": {args.rows},\n'
+    line = "{0[0]},{0[1]}\n" if args.format == "csv" else "{0[1]}\n"
+    _write_list(args.format, enumerate(values, start=1), head, "values",
+                '    [\n      {0[0]},\n      "{0[1]}"\n    ]'.format,
+                "n,value\n", line.format)
     return 0
 
 
@@ -179,38 +195,31 @@ def _cmd_sequence(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _verify_cells(rep, params_sep: str, ce_sep: str, no_ce: str) -> list[str]:
+    """One report's row; a counterexample reads params, ce_sep, lhs, rhs."""
+    ce = rep.first_counterexample
+    if ce is None:
+        ce_text = no_ce
+    else:
+        params = params_sep.join(f"{k}={v}" for k, v in ce.params)
+        ce_text = f"{params}{ce_sep}lhs={ce.lhs} rhs={ce.rhs}"
+    return [rep.spec.identity, rep.spec.expected, str(rep.cases_checked),
+            str(rep.failures), rep.verdict, ce_text]
+
+
 def _render_verify_markdown(reports) -> str:
     lines = [
         "| identity | expected | cases | failures | verdict | first counterexample |",
         "| --- | --- | --- | --- | --- | --- |",
     ]
-    for rep in reports:
-        ce = rep.first_counterexample
-        if ce is None:
-            ce_text = "-"
-        else:
-            params = ",".join(f"{k}={v}" for k, v in ce.params)
-            ce_text = f"{params}: lhs={ce.lhs} rhs={ce.rhs}"
-        lines.append(
-            f"| {rep.spec.identity} | {rep.spec.expected} | {rep.cases_checked}"
-            f" | {rep.failures} | {rep.verdict} | {ce_text} |"
-        )
+    lines += ("| " + " | ".join(_verify_cells(rep, ",", ": ", "-")) + " |"
+              for rep in reports)
     return "\n".join(lines) + "\n"
 
 
 def _render_verify_csv(reports) -> str:
     lines = ["identity,expected,cases_checked,failures,verdict,counterexample"]
-    for rep in reports:
-        ce = rep.first_counterexample
-        if ce is None:
-            ce_text = ""
-        else:
-            params = " ".join(f"{k}={v}" for k, v in ce.params)
-            ce_text = f"{params} lhs={ce.lhs} rhs={ce.rhs}"
-        lines.append(
-            f"{rep.spec.identity},{rep.spec.expected},{rep.cases_checked},"
-            f"{rep.failures},{rep.verdict},{ce_text}"
-        )
+    lines += (",".join(_verify_cells(rep, " ", " ", "")) for rep in reports)
     return "\n".join(lines) + "\n"
 
 
@@ -219,9 +228,7 @@ def _cmd_verify(args) -> int:
     overrides = {axis: cap for axis, cap in caps.items() if cap is not None}
     if args.identity == "all":
         specs = verify.default_suite(overrides)
-    else:
-        if args.identity not in verify.IDENTITY_IDS:
-            raise UsageError(f"unknown identity id {args.identity!r}")
+    else:  # default_spec rejects an unknown id
         specs = [verify.default_spec(args.identity, overrides)]
     reports, all_ok = verify.run_suite(specs)
     if args.format == "json":
@@ -280,28 +287,16 @@ def _cmd_words(args) -> int:
         net_displacement=args.net,
     )
     cap = _resolve_cap(args.cap)
-    words = oracle.enumerate_words(length, filt, cap=cap)
-    # Take the first word before writing anything, so that cap and filter
-    # errors leave stdout empty; then write in batches of WORD_BATCH.
-    first = next(words, None)
-    if first is not None:
-        words = chain([first], words)
-    batches = iter(lambda: list(islice(words, WORD_BATCH)), [])
-    if args.format == "json":
-        # Letters are validated to "urd", so they need no JSON escaping.
-        _write_json(sys.stdout, "", "words", (",\n".join(
-            f'    {{\n      "letters": "{w.letters}",\n'
-            f'      "start_row": {w.start_row},\n      "trace": [\n        '
-            + ",\n        ".join(map(str, row_trace(w))) + "\n      ]\n    }"
-            for w in batch) for batch in batches))
-        return 0
-    if args.format == "csv":
-        sys.stdout.write("word,trace\n")
     line = "{},{}\n" if args.format == "csv" else "{} {}\n"
-    for batch in batches:
-        sys.stdout.write("".join(
-            line.format(w.letters or "ε", format_trace(row_trace(w))) for w in batch
-        ))
+    _write_list(
+        args.format, oracle.enumerate_words(length, filt, cap=cap), "", "words",
+        # Letters are validated to "urd", so they need no JSON escaping.
+        lambda w: f'    {{\n      "letters": "{w.letters}",\n'
+        f'      "start_row": {w.start_row},\n      "trace": [\n        '
+        + ",\n        ".join(map(str, row_trace(w))) + "\n      ]\n    }",
+        "word,trace\n",
+        lambda w: line.format(w.letters or "ε", format_trace(row_trace(w))),
+    )
     return 0
 
 

@@ -1,10 +1,13 @@
 """Closed-form evaluators built from binomial arithmetic and
 start-row-1 tables.
 
-Each function evaluates one identity directly; none of them calls the
-engine function it is checked against (the verifier module owns those
-comparisons).  Rational forms divide exactly; a nonzero remainder would
-mean a transcription bug, so it raises instead of rounding.
+Each function evaluates one identity directly; the verifier module owns
+the comparisons.  The forms behind D1-SPLIT, INNER-PRODUCT, S2 and
+H-SQUARE read ``dp.di_table``/``dp.d_table`` entries, from the march
+that builds their engine sides, so those identities check relations
+among engine-table entries; the brute-force oracle is the independent
+side.  Rational forms divide exactly; a nonzero remainder would mean a
+transcription bug, so it raises instead of rounding.
 
 Two deliberately wrong variants are kept alongside their corrected
 forms (``d_boundary_printed``, ``s_free_printed``) so the verifier can

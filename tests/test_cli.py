@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -10,7 +11,9 @@ import pytest
 from golden_tables import FIGURE1_ROW_WORDS, MOTZKIN
 from tablepaths import cli, oracle
 from tablepaths.core import TableDims, row_trace
-from tablepaths.dp import a_table, d_table, di_table, h_table, hss_values
+from tablepaths.dp import (
+    a_table, d1_bottom_row, d_table, di_table, h_table, hss_values, imn_sequence,
+)
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +88,56 @@ def test_table_json_round_trip(capsys):
     assert payload["dims"] == {"rows": 6, "cols": 6}
     assert all(isinstance(v, str) for _, _, v in payload["entries"])
     assert cli.parse_table_json(out) == a_table(6)
+
+
+def _json_table(rows, cols, entries):
+    return json.dumps({"dims": {"rows": rows, "cols": cols}, "kind": "d",
+                       "entries": entries})
+
+
+MALFORMED_JSON = {
+    "s=0": _json_table(1, 2, [[1, 1, "1"], [0, 1, "1"]]),
+    "t=0": _json_table(2, 1, [[1, 1, "1"], [1, 0, "1"]]),
+    "missing": _json_table(1, 2, [[1, 1, "1"]]),
+    "duplicate": _json_table(1, 2, [[1, 1, "1"], [2, 1, "1"], [2, 1, "2"]]),
+    "outside": _json_table(1, 1, [[1, 1, "1"], [2, 1, "1"]]),
+    "short-entry": _json_table(1, 1, [[1, 1]]),
+    "fractional-index": _json_table(1, 1, [[1.5, 1, "1"]]),
+    "fractional-value": _json_table(1, 1, [[1, 1, 1.5]]),
+    "bad-value": _json_table(1, 1, [[1, 1, "x"]]),
+    "negative": _json_table(1, 1, [[1, 1, "-1"]]),
+    "zero-rows": _json_table(0, 1, []),
+    "string-dims": _json_table("1", 1, [[1, 1, "1"]]),
+    "entries-not-list": _json_table(1, 1, 5),
+    "no-dims": '{"entries": []}',
+    "list": "[]",
+    "string": '"table"',
+    "number": "3",
+    "truncated": "{",
+}
+MALFORMED_CSV = {
+    "missing": "s,t,value\n1,1,1\n2,2,1\n",
+    "s=0": "s,t,value\n1,1,1\n0,1,1\n",
+    "t=0": "s,t,value\n1,1,1\n1,0,1\n",
+    "duplicate": "s,t,value\n1,1,1\n1,1,2\n",
+    "short-row": "s,t,value\n1,1\n",
+    "bad-value": "s,t,value\n1,1,x\n",
+    "no-cells": "s,t,value\n",
+    "no-header": "1,1,1\n2,1,1\n",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("parse,text", [
+    *(pytest.param(cli.parse_table_json, t, id=f"json-{k}")
+      for k, t in MALFORMED_JSON.items()),
+    *(pytest.param(cli.parse_table_csv, t, id=f"csv-{k}")
+      for k, t in MALFORMED_CSV.items()),
+])
+def test_table_parsers_reject_malformed_input(parse, text):
+    with pytest.raises(ValueError) as info:
+        parse(text)
+    assert "\n" not in str(info.value)
 
 
 def test_table_json_single_entry(capsys):
@@ -167,12 +220,37 @@ def test_sequence_csv(capsys):
     assert out.splitlines() == ["n,value", "1,2", "2,4", "3,8"]
 
 
+def test_sequence_json_golden(capsys):
+    code, out, err = run_cli(
+        capsys, "sequence", "--target", "imn-fixed-m", "-m", "2", "--max-n", "3",
+        "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        '{\n  "target": "imn-fixed-m",\n  "rows": 2,\n  "values": [\n'
+        '    [\n      1,\n      "2"\n    ],\n'
+        '    [\n      2,\n      "4"\n    ],\n'
+        '    [\n      3,\n      "8"\n    ]\n  ]\n}\n'
+    )
+
+
 def test_verify_all_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "verify", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["all_as_expected"] is True
     assert len(payload["reports"]) == 15
+
+
+@pytest.mark.parametrize("fmt,digest", [
+    ("markdown", "28a2064d3d85570fd613b6fc90321cb3ac127020fc92091e4554ecc0218aebc1"),
+    ("csv", "67b72eb4a86ef759bf85301d5415fc630918afd3a2b958f9f8b60f17961403e2"),
+])
+def test_verify_text_formats_golden(capsys, fmt, digest):
+    # Pins the counterexample column too, which no other test reads.
+    code, out, _ = run_cli(capsys, "verify", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_single_identity(capsys):
@@ -315,6 +393,37 @@ def test_module_invocation_subprocess():
     assert proc.stdout == "2\n"
 
 
+OPTION_SURFACE = {
+    "table": [("--kind",), ("-m", "--rows"), ("-n", "--cols"), ("--format",),
+              ("--hss-footer",)],
+    "count": [("-m", "--rows"), ("-n", "--cols"), ("--from-col",), ("--from-row",),
+              ("--to-col",), ("--to-row",)],
+    "sequence": [("--target",), ("-m", "--rows"), ("--max-n",), ("--format",)],
+    "verify": [("--identity",), ("--max-m",), ("--max-n",), ("--max-s",),
+               ("--max-y",), ("--max-k",), ("--format",)],
+    "words": [("--length",), ("-m", "--rows"), ("-n", "--cols"), ("--start",),
+              ("--end",), ("--net",), ("--floor",), ("--ceiling",), ("--alphabet",),
+              ("--cap",), ("--format",)],
+}
+
+
+def test_option_surface_is_pinned():
+    # Adding a knob means editing this literal: 33 options and one
+    # environment variable.
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if a.choices and a.dest == "command"]
+    surface = {
+        name: [tuple(a.option_strings) for a in p._actions if a.dest != "help"]
+        for name, p in sub.choices.items()
+    }
+    assert surface == OPTION_SURFACE
+    assert sum(map(len, surface.values())) == 33
+    assert cli.CAP_ENV_VAR == "TABLEPATHS_ORACLE_CAP"
+    texts = {p.name: p.read_text() for p in Path(cli.__file__).parent.glob("*.py")}
+    assert {name: text.count("environ") for name, text in texts.items()
+            if "environ" in text} == {"cli.py": 1}
+
+
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
@@ -423,6 +532,31 @@ def test_words_stream_in_batches(capsys):
     assert code == 0 and out == _joined_words(words, "plain")
 
 
+def _joined_sequence(target, rows, values, fmt):
+    pairs = list(enumerate(values, start=1))
+    if fmt == "json":
+        payload = {"target": target, "rows": rows,
+                   "values": [[n, str(v)] for n, v in pairs]}
+        return json.dumps(payload, indent=2) + "\n"
+    if fmt == "csv":
+        return "\n".join(["n,value"] + [f"{n},{v}" for n, v in pairs]) + "\n"
+    return "\n".join(str(v) for _, v in pairs) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json", "markdown"])
+@pytest.mark.parametrize("target,rows,max_n", [
+    ("imn-fixed-m", 1, 1),
+    ("imn-fixed-m", 1, 3 * cli.WORD_BATCH + 5),  # several write batches
+    ("d1-bottom-row", 3, 50),
+])
+def test_streamed_sequence_matches_joined_output(capsys, fmt, target, rows, max_n):
+    build = imn_sequence if target == "imn-fixed-m" else d1_bottom_row
+    code, out, err = run_cli(capsys, "sequence", "--target", target, "-m",
+                             str(rows), "--max-n", str(max_n), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == _joined_sequence(target, rows, build(rows, max_n), fmt)
+
+
 @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
 def test_words_errors_leave_stdout_empty(capsys, fmt):
     code, out, err = run_cli(
@@ -455,6 +589,20 @@ def test_over_digit_limit_table_exits_one_with_empty_stdout(capsys):
             assert err.startswith("error: ") and err.count("\n") == 1
     finally:
         sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json", "markdown"])
+def test_over_digit_limit_sequence_exits_one_with_empty_stdout(capsys, fmt):
+    # The D1 bottom row at height 4 passes 640 digits long before n = 4000.
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_cli(capsys, "sequence", "--target", "d1-bottom-row",
+                                 "-m", "4", "--max-n", "4000", "--format", fmt)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_footer_misuse_is_rejected_before_the_table_is_built(capsys, monkeypatch):

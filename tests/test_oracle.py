@@ -82,8 +82,10 @@ def test_cap_errors_name_the_cap():
         brute_pair_count(
             TableDims(2, 20), Cell(1, 1), Cell(17, 1)
         )
-    # A raised cap admits the same request.
-    assert brute_free(0, 15, cap=15) == free_count(0, 15)
+    # A raised cap admits a request the lower cap refused.
+    with pytest.raises(CapExceededError, match="cap 3"):
+        brute_free(0, 4, cap=3)
+    assert brute_free(0, 4, cap=4) == free_count(0, 4)
 
 
 def test_deep_counts_need_no_recursion():
