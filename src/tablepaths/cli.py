@@ -24,6 +24,7 @@ from .core import Cell, CountMatrix, TableDims, row_trace
 
 CAP_ENV_VAR = "TABLEPATHS_ORACLE_CAP"
 FORMATS = ("csv", "json", "markdown")
+LIST_FORMATS = ("plain", "csv", "json")  # sequence values and words
 TABLE_KINDS = ("d1", "d", "a", "h")
 SEQUENCE_TARGETS = ("imn-fixed-m", "d1-bottom-row")
 WORD_BATCH = 4096  # list items (words, sequence values) formatted per write
@@ -275,6 +276,8 @@ def _cmd_words(args) -> int:
         if args.cols is None:
             raise UsageError("either --length or --cols is required")
         length = args.cols - 1
+    elif args.cols is not None:
+        raise UsageError("--length conflicts with --cols")
     start = args.start
     if start is None and (floor is None or ceiling is None):
         start = 1  # unbounded enumerations need an anchor row
@@ -334,7 +337,7 @@ def build_parser() -> _Parser:
     p_seq.add_argument("--target", choices=SEQUENCE_TARGETS, required=True)
     p_seq.add_argument("-m", "--rows", type=int, required=True)
     p_seq.add_argument("--max-n", type=int, required=True)
-    p_seq.add_argument("--format", choices=("plain",) + FORMATS, default="plain")
+    p_seq.add_argument("--format", choices=LIST_FORMATS, default="plain")
     p_seq.set_defaults(func=_cmd_sequence)
 
     p_verify = sub.add_parser("verify", help="run the identity suite")
@@ -357,7 +360,7 @@ def build_parser() -> _Parser:
     p_words.add_argument("--ceiling", type=int)
     p_words.add_argument("--alphabet", choices=("urd", "ud"), default="urd")
     p_words.add_argument("--cap", type=int, help="enumeration cap override")
-    p_words.add_argument("--format", choices=("plain",) + FORMATS, default="plain")
+    p_words.add_argument("--format", choices=LIST_FORMATS, default="plain")
     p_words.set_defaults(func=_cmd_words)
 
     return parser

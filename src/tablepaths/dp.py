@@ -6,7 +6,8 @@ t.  One generator, ``_march``, holds the only column loop: each family
 starts it from its own first column (a unit column for D^i and A, all
 ones for D and I_m(n)) and marches a dense row vector column by column
 with O(rows) state; full matrices are materialized only when a
-CountMatrix is requested.
+CountMatrix is requested.  ``cached`` is the one memo of built tables,
+shared by the verifier's engine side and the closed forms.
 
 Confinement is enforced by clipping the stencil at the vector ends; the
 virtual rows 0 and rows+1 are never stored.
@@ -15,6 +16,7 @@ virtual rows 0 and rows+1 are never stored.
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Iterator
 
@@ -92,6 +94,19 @@ def h_table(dims: TableDims) -> CountMatrix:
     up to t; entry (s, rows) counts all paths from (1, 1) to column s.
     """
     return CountMatrix(dims, map(accumulate, di_table(dims, 1).columns()))
+
+
+# The bound holds an identity grid's working set, about one width per
+# column at each height, and caps the memory held.
+@lru_cache(maxsize=128)
+def cached(family: str, rows: int, cols: int, *start: int) -> CountMatrix:
+    """The one memo of engine tables: the ``rows`` x ``cols`` table of
+    ``family`` (``di_table`` with its ``start`` row, ``d_table``,
+    ``h_table``, or ``a_table`` with rows == cols), keyed on exactly
+    these arguments.  The builder is looked up on this module at call
+    time, so a wrapped or patched builder sees every real build."""
+    build = globals()[family]
+    return build(rows) if family == "a_table" else build(TableDims(rows, cols), *start)
 
 
 def hss_values(d1: CountMatrix) -> list[int]:

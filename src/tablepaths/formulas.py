@@ -3,11 +3,12 @@ start-row-1 tables.
 
 Each function evaluates one identity directly; the verifier module owns
 the comparisons.  The forms behind D1-SPLIT, INNER-PRODUCT, S2 and
-H-SQUARE read ``dp.di_table``/``dp.d_table`` entries, from the march
-that builds their engine sides, so those identities check relations
-among engine-table entries; the brute-force oracle is the independent
-side.  Rational forms divide exactly; a nonzero remainder would mean a
-transcription bug, so it raises instead of rounding.
+H-SQUARE read ``dp.di_table``/``dp.d_table`` entries through
+``dp.cached``, the memo their engine sides read too, so those
+identities check relations among engine-table entries; the brute-force
+oracle is the independent side.  Rational forms divide exactly; a
+nonzero remainder would mean a transcription bug, so it raises instead
+of rounding.
 
 Two deliberately wrong variants are kept alongside their corrected
 forms (``d_boundary_printed``, ``s_free_printed``) so the verifier can
@@ -16,16 +17,10 @@ confirm and document their failure with a concrete counterexample.
 
 from __future__ import annotations
 
-import functools
 import math
 
 from . import dp
-from .core import Cell, CountMatrix, TableDims, check_pair
-
-# Engine tables kept per family.  An identity grid asks for the same
-# (rows, cols) at many points, about one width per column at each
-# height; the bound keeps that working set and caps the memory held.
-_TABLE_CACHE_SIZE = 128
+from .core import Cell, TableDims, check_pair
 
 
 def binomial(n: int, k: int) -> int:
@@ -33,18 +28,6 @@ def binomial(n: int, k: int) -> int:
     if n < 0 or k < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _d1_table(rows: int, cols: int) -> CountMatrix:
-    # Looked up on the dp module at call time, so a patched or counted
-    # dp.di_table sees every real build.
-    return dp.di_table(TableDims(rows, cols), 1)
-
-
-@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _d_table(rows: int, cols: int) -> CountMatrix:
-    return dp.d_table(TableDims(rows, cols))
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -104,10 +87,10 @@ def d1_closed(s: int, t: int) -> int:
 def _h_square_value(n: int, m: int) -> int:
     # Unguarded evaluator: the verify registry's H-SQUARE row calls it
     # when calibration probes past the declared window m <= n <= 2m.
-    square = _d_table(n, n).get(n, n)
+    square = dp.cached("d_table", n, n).get(n, n)
     if n <= m:
         return square
-    d1 = _d1_table(m, n - 1)
+    d1 = dp.cached("di_table", m, n - 1, 1)
     return square - sum(
         3 ** (n - i - 1) * d1.get(i, m) for i in range(m, n)
     )
@@ -139,7 +122,7 @@ def d1_split(n: int, m: int, s: int) -> int:
         raise ValueError("m and n must be positive")
     if not 1 <= s <= n:
         raise ValueError(f"split column {s} outside [1, {n}]")
-    table = _d1_table(m, n)
+    table = dp.cached("di_table", m, n, 1)
     return sum(
         table.get(s, i) * table.get(n - s + 1, m - i + 1)
         for i in range(1, m + 1)
@@ -156,7 +139,7 @@ def _d_boundary(
     m = dims.rows
     total = 3 ** (s - 1)
     if s > 1:
-        d1 = _d1_table(m, s - 1)
+        d1 = dp.cached("di_table", m, s - 1, 1)
         for i in range(max(bottom_start, 1), s):
             total -= 3 ** (s - i - 1) * d1.get(i, t)
         for i in range(max(top_start, 1), s):
@@ -196,7 +179,7 @@ def i_inner(dims: TableDims, a: int) -> int:
     if not 1 <= a <= dims.cols:
         raise ValueError(f"column {a} outside [1, {dims.cols}]")
     b = dims.cols + 1 - a
-    table = _d_table(dims.rows, dims.cols)
+    table = dp.cached("d_table", dims.rows, dims.cols)
     return sum(
         table.get(a, i) * table.get(b, i) for i in range(1, dims.rows + 1)
     )
@@ -244,7 +227,7 @@ def _s2_value(dims: TableDims, start: Cell, end: Cell) -> int:
     m, span = dims.rows, end.col - start.col
     total = s_free_closed(end.row - start.row, span)
     if span:
-        d1 = _d1_table(m, span)
+        d1 = dp.cached("di_table", m, span, 1)
         for k in range(1, span + 1):
             total -= d1.get(k, start.row) * s_free_closed(end.row, span - k)
             total -= d1.get(k, m + 1 - start.row) * s_free_closed(

@@ -12,9 +12,10 @@ the suite applies and calibration probes past with an unguarded
 evaluator; a ``sides`` function giving, for one prefix of the outer
 axes, the line of engine values and formula values over the last axis;
 its default domain and expected verdict; and, if it can be calibrated,
-a search box.  Engine tables come from ``dp`` through a memo made fresh
-for each run; formulas are looked up by name at every point, so a
-wrapped module attribute sees every call.
+a search box.  Engine tables come from ``dp.cached``, the one memo the
+closed forms read too, at the run's upper bounds; formulas are looked
+up by name at every point, so a wrapped module attribute sees every
+call.
 
 Identity ids ending in ``-PRINTED`` evaluate deliberately retained
 wrong variants; the suite expects those to fail and marks them
@@ -86,97 +87,71 @@ class IdentityReport:
         }
 
 
-class _Engine(dict):
-    """One run's engine side, keyed (family, rows, cols, start row...).
-    Each ``dp`` table is looked up and built when first asked for, at the
-    run's widest column (from ``hi``: axis -> upper bound).  No run asks
-    for a table again after moving to another height, so only the
-    current height is kept, and each table is built once."""
-
-    def __init__(self, hi: Mapping[str, int]):
-        super().__init__()
-        self.hi = hi
-
-    def __missing__(self, key):
-        family, rows, cols, *start = key
-        for old in [k for k in self if k[1] != rows]:
-            del self[old]
-        if family == "dims":
-            value = TableDims(rows, cols)
-        elif family == "a_table":
-            value = dp.a_table(rows)
-        elif family == "starts":  # every start row of one height, in order
-            value = [self["di_table", rows, cols, r] for r in range(1, rows + 1)]
-        else:
-            value = getattr(dp, family)(self["dims", rows, cols], *start)
-        self[key] = value
-        return value
-
-
 def _rows(column: tuple, line: range) -> tuple:  # bottom row first
     return column[line.start - 1 : line.stop - 1]
 
 
 def _triangle(family: str, *start: int) -> Callable:
     """Sides for t <= s read from column s of one s x s table."""
-    return lambda eng, fn, s, ts: (
-        _rows(eng[(family, eng.hi["s"], eng.hi["s"], *start)].column(s), ts),
+    return lambda hi, fn, s, ts: (
+        _rows(dp.cached(family, hi["s"], hi["s"], *start).column(s), ts),
         [_FORMULAS[fn](s, t) for t in ts],
     )
 
 
-def _h_square(eng, fn, m, ns):
-    d1 = eng["di_table", m, eng.hi["n"], 1]  # H(n, m) sums its column n
+def _h_square(hi, fn, m, ns):
+    d1 = dp.cached("di_table", m, hi["n"], 1)  # H(n, m) sums its column n
     return [sum(d1.column(n)) for n in ns], [_FORMULAS[fn](n, m) for n in ns]
 
 
-def _d1_split(eng, fn, m, n, ss):
-    truth = eng["di_table", m, eng.hi["n"], 1].get(n, m)
+def _d1_split(hi, fn, m, n, ss):
+    truth = dp.cached("di_table", m, hi["n"], 1).get(n, m)
     return [truth] * len(ss), [_FORMULAS[fn](n, m, s) for s in ss]
 
 
-def _d_boundary(eng, fn, m, n, s, ts):
-    dims, table = eng["dims", m, n], eng["d_table", m, eng.hi["n"]]
+def _d_boundary(hi, fn, m, n, s, ts):
+    dims, table = TableDims(m, n), dp.cached("d_table", m, hi["n"])
     return _rows(table.column(s), ts), [_FORMULAS[fn](dims, s, t) for t in ts]
 
 
-def _inner_product(eng, fn, m, n, cols):  # I_m(n) sums column n of D
-    truth, dims = sum(eng["d_table", m, eng.hi["n"]].column(n)), eng["dims", m, n]
+def _inner_product(hi, fn, m, n, cols):  # I_m(n) sums column n of D
+    truth, dims = sum(dp.cached("d_table", m, hi["n"]).column(n)), TableDims(m, n)
     return [truth] * len(cols), [_FORMULAS[fn](dims, a) for a in cols]
 
 
-def _s_free(eng, fn, y, xs):
+def _s_free(hi, fn, y, xs):
     # One unwalled march per point: there is no table to share.
     return [dp.free_count(x, y) for x in xs], [_FORMULAS[fn](x, y) for x in xs]
 
 
-def _s2(eng, fn, m, span, r0, ends):
+def _s2(hi, fn, m, span, r0, ends):
     # Column span + 1 from (1, r0); only the window bounds span in a suite.
-    table = eng["di_table", m, eng.hi.get("span", m + 1) + 1, r0]
-    dims, start = eng["dims", m, span + 1], Cell(1, r0)
+    table = dp.cached("di_table", m, hi.get("span", m + 1) + 1, r0)
+    dims, start = TableDims(m, span + 1), Cell(1, r0)
     rhs = [_FORMULAS[fn](dims, start, Cell(span + 1, r1)) for r1 in ends]
     return _rows(table.column(span + 1), ends), rhs
 
 
-def _motzkin(eng, fn, ss):
-    d1 = eng["di_table", eng.hi["s"], eng.hi["s"], 1]
+def _motzkin(hi, fn, ss):
+    d1 = dp.cached("di_table", hi["s"], hi["s"], 1)
     return [d1.get(s, 1) for s in ss], [_FORMULAS[fn](s - 1) for s in ss]
 
 
-def _catalan(eng, fn, ks):
-    a = eng["a_table", 2 * eng.hi["k"] + 1, 2 * eng.hi["k"] + 1]
+def _catalan(hi, fn, ks):
+    a = dp.cached("a_table", 2 * hi["k"] + 1, 2 * hi["k"] + 1)
     return [a.get(2 * k + 1, 1) for k in ks], [_FORMULAS[fn](k) for k in ks]
 
 
-def _flip(eng, fn, m, n, i, s, ts):
+def _flip(hi, fn, m, n, i, s, ts):
     # Both sides are engine tables: start row m + 1 - i read upside down.
-    tables = eng["starts", m, eng.hi["n"]]
-    return _rows(tables[i - 1].column(s), ts), _rows(tables[m - i].column(s)[::-1], ts)
+    up = dp.cached("di_table", m, hi["n"], i).column(s)
+    down = dp.cached("di_table", m, hi["n"], m + 1 - i).column(s)[::-1]
+    return _rows(up, ts), _rows(down, ts)
 
 
-def _reversal(eng, fn, ns):
-    lhs = [eng["d_table", n, n].get(n, n) for n in ns]
-    return lhs, [eng["h_table", n, n].get(n, n) for n in ns]
+def _reversal(hi, fn, ns):
+    lhs = [dp.cached("d_table", n, n).get(n, n) for n in ns]
+    return lhs, [dp.cached("h_table", n, n).get(n, n) for n in ns]
 
 
 def _axis(name: str, lo: int = 1, upto: str = "") -> tuple:
@@ -186,7 +161,7 @@ def _axis(name: str, lo: int = 1, upto: str = "") -> tuple:
 
 class _Identity(NamedTuple):
     axes: tuple  # (name, bounds) in grid order
-    sides: Callable  # (engine, formula, outer values..., line) -> lines
+    sides: Callable  # (upper bounds, formula, outer values..., line) -> lines
     domain: dict  # axis -> default cap
     expected: str
     formula: str = ""  # the ``formulas`` attribute the suite checks
@@ -251,8 +226,8 @@ def _lines(row: _Identity, box: Mapping, probe: bool):
     """(outer point, last-axis range, engine line, formula line) for each
     nonempty line of the grid in ``box`` (axis -> (lo, hi)), in grid
     order: a suite run is also cut to the window, a ``probe`` is not and
-    checks the unguarded evaluator instead.  The memo is fresh per walk."""
-    eng = _Engine({axis: hi for axis, (_, hi) in box.items()})
+    checks the unguarded evaluator instead."""
+    upper = {axis: hi for axis, (_, hi) in box.items()}
     fn = row.window[2] if probe and row.window else row.formula
     window = dict([row.window[:2]]) if row.window and not probe else {}
     # A window lies within its axis's bounds, so it stands in for them.
@@ -269,7 +244,7 @@ def _lines(row: _Identity, box: Mapping, probe: bool):
                 yield from walk(k + 1)
         elif values:
             prefix = tuple(point.values())
-            yield (prefix, values, *row.sides(eng, fn, *prefix, values))
+            yield (prefix, values, *row.sides(upper, fn, *prefix, values))
 
     return walk(0)
 

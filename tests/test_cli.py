@@ -378,6 +378,16 @@ def test_words_deep_word_prints_without_recursion_error(capsys):
     assert (code, out, err) == (0, "u" * 1200 + " " + trace + "\n", "")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("--length", "2", "-n", "5", "--start", "1"), "--length conflicts with --cols"),
+    (("-m", "3", "--floor", "1", "--length", "2"),
+     "--rows conflicts with --floor/--ceiling"),
+], ids=["length-cols", "rows-floor"])
+def test_words_conflicting_options_exit_one(capsys, argv, message):
+    code, out, err = run_cli(capsys, "words", *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_module_invocation_subprocess():
     proc = subprocess.run(
         [
@@ -418,6 +428,14 @@ def test_option_surface_is_pinned():
     }
     assert surface == OPTION_SURFACE
     assert sum(map(len, surface.values())) == 33
+    formats = {name: next(a.choices for a in p._actions if a.dest == "format")
+               for name, p in sub.choices.items() if name != "count"}
+    assert formats == {
+        "table": ("csv", "json", "markdown"),
+        "sequence": ("plain", "csv", "json"),
+        "verify": ("csv", "json", "markdown"),
+        "words": ("plain", "csv", "json"),
+    }
     assert cli.CAP_ENV_VAR == "TABLEPATHS_ORACLE_CAP"
     texts = {p.name: p.read_text() for p in Path(cli.__file__).parent.glob("*.py")}
     assert {name: text.count("environ") for name, text in texts.items()
@@ -553,6 +571,11 @@ def test_streamed_sequence_matches_joined_output(capsys, fmt, target, rows, max_
     build = imn_sequence if target == "imn-fixed-m" else d1_bottom_row
     code, out, err = run_cli(capsys, "sequence", "--target", target, "-m",
                              str(rows), "--max-n", str(max_n), "--format", fmt)
+    if fmt == "markdown":  # a list has no markdown form
+        assert (code, out) == (1, "")
+        assert err.startswith("error: argument --format: invalid choice")
+        assert err.count("\n") == 1
+        return
     assert (code, err) == (0, "")
     assert out == _joined_sequence(target, rows, build(rows, max_n), fmt)
 

@@ -10,6 +10,7 @@ from golden_tables import (
     TABLE2_HSS_RECOMPUTED,
     cells_from_rows,
 )
+from tablepaths import dp
 from tablepaths.core import Cell, TableDims
 from tablepaths.dp import (
     a_table,
@@ -289,3 +290,34 @@ def test_hss_values_read_the_capped_diagonal_of_h():
         assert hss_values(di_table(dims, 1)) == [
             h.get(s, min(s, rows)) for s in range(1, cols + 1)
         ]
+
+
+def test_cached_tables_equal_fresh_builds(monkeypatch):
+    # Interleaved keys that collide on all but one part (family, start
+    # row, rows or cols): a memo keyed on less than all of it answers
+    # one of them with another's table.
+    fresh = {
+        ("di_table", 3, 3, 1): di_table(TableDims(3, 3), 1),
+        ("d_table", 3, 3): d_table(TableDims(3, 3)),
+        ("di_table", 3, 3, 2): di_table(TableDims(3, 3), 2),
+        ("h_table", 3, 3): h_table(TableDims(3, 3)),
+        ("a_table", 3, 3): a_table(3),
+        ("di_table", 5, 3, 2): di_table(TableDims(5, 3), 2),
+        ("d_table", 3, 5): d_table(TableDims(3, 5)),
+        ("d_table", 5, 3): d_table(TableDims(5, 3)),
+        ("di_table", 3, 5, 1): di_table(TableDims(3, 5), 1),
+        ("a_table", 5, 5): a_table(5),
+    }
+    dp.cached.cache_clear()
+    keys = list(fresh)
+    for key in keys + keys[::-1]:
+        assert dp.cached(*key) == fresh[key], key
+        assert dp.cached(*key) is dp.cached(*key)
+
+    # The builder is looked up on the module at call time, once per key.
+    dp.cached.cache_clear()
+    builds, real = [], dp.d_table
+    monkeypatch.setattr(dp, "d_table", lambda dims: builds.append(dims) or real(dims))
+    assert dp.cached("d_table", 3, 5) is dp.cached("d_table", 3, 5)
+    assert builds == [TableDims(3, 5)]
+    dp.cached.cache_clear()

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from tablepaths import formulas
+from tablepaths import dp
 from tablepaths.core import Cell, TableDims
 from tablepaths.dp import bounded_pair_count, di_table, imn
 from tablepaths.formulas import (
@@ -241,8 +241,7 @@ def test_shared_tables_keyed_by_height_and_width():
     # Same width with different heights, then same height with different
     # widths, interleaved: a table kept under part of its shape would
     # answer for the wrong one.
-    formulas._d1_table.cache_clear()
-    formulas._d_table.cache_clear()
+    dp.cached.cache_clear()
     for m, n in [(3, 6), (5, 6), (2, 6), (5, 4), (3, 6), (5, 7), (2, 3), (5, 6)]:
         dims = TableDims(m, n)
 

@@ -178,10 +178,9 @@ def _count_engine_builds(monkeypatch) -> list:
 
 
 def test_engine_tables_built_once_per_shape(monkeypatch):
-    formulas._d1_table.cache_clear()
-    formulas._d_table.cache_clear()
     calls = _count_engine_builds(monkeypatch)
 
+    dp.cached.cache_clear()
     run_identity(default_spec("D-BOUNDARY"))
     start_row_1 = [a for name, a in calls if name == "di_table" and a[1] == 1]
     # One per distinct (m, s - 1) the formula reads, 6 x 11; one build
@@ -193,6 +192,7 @@ def test_engine_tables_built_once_per_shape(monkeypatch):
         (TableDims(m, 12),) for m in range(1, 7)
     ]
 
+    dp.cached.cache_clear()
     calls.clear()
     run_identity(default_spec("S2"))
     assert not [a for name, a in calls if name == "bounded_pair_count"]
@@ -202,9 +202,11 @@ def test_engine_tables_built_once_per_shape(monkeypatch):
         (TableDims(m, m + 2), r0) for m in range(1, 6) for r0 in range(1, m + 1)
     ]
 
+    dp.cached.cache_clear()
     calls.clear()
     run_identity(default_spec("FLIP-SYMMETRY"))
-    assert calls == [
+    # Each line reads start rows i and m + 1 - i, so the order differs.
+    assert sorted(calls, key=lambda c: (c[1][0].rows, c[1][1])) == [
         ("di_table", (TableDims(m, 12), i))
         for m in range(1, 7)
         for i in range(1, m + 1)
@@ -212,9 +214,11 @@ def test_engine_tables_built_once_per_shape(monkeypatch):
 
     # H(n, m) and I_m(n) are column sums of tables built once per m, not
     # a prefix-sum table or a march per (m, n).
+    dp.cached.cache_clear()
     calls.clear()
     run_identity(default_spec("H-SQUARE", DOUBLED_GRID))
     assert [name for name, _ in calls].count("h_table") == 0
+    dp.cached.cache_clear()
     calls.clear()
     run_identity(default_spec("INNER-PRODUCT", DOUBLED_GRID))
     assert [name for name, _ in calls].count("imn") == 0
@@ -222,7 +226,7 @@ def test_engine_tables_built_once_per_shape(monkeypatch):
     # One engine table per (m, r0) at the widest span, 10, plus one
     # formula-side table per (m, span) with span >= 1, 32; a table per
     # (m, span, r0) would make 212.
-    formulas._d1_table.cache_clear()
+    dp.cached.cache_clear()
     calls.clear()
     calibrate_domain("S2")
     assert len([a for name, a in calls if name == "di_table"]) <= 42
