@@ -2,7 +2,9 @@
 
 Subcommands: ``table`` renders a counting family, ``count`` evaluates
 one pair count, ``sequence`` emits a sequence, ``verify`` drives the
-identity suite and ``words`` lists matching lattice words.
+identity suite and ``words`` lists matching lattice words.  Kinds and
+targets name ``dp`` functions.  Every table is built by ``dp.build``, not
+through its memo ``dp.cached``, so no big table outlives its request.
 
 Exit codes: 0 success, 1 usage or resource error, 2 verification
 mismatch.  All values are printed as decimal strings; tables print with
@@ -25,8 +27,9 @@ from .core import Cell, CountMatrix, TableDims, row_trace
 CAP_ENV_VAR = "TABLEPATHS_ORACLE_CAP"
 FORMATS = ("csv", "json", "markdown")
 LIST_FORMATS = ("plain", "csv", "json")  # sequence values and words
-TABLE_KINDS = ("d1", "d", "a", "h")
-SEQUENCE_TARGETS = ("imn-fixed-m", "d1-bottom-row")
+TABLE_KINDS = {"d1": ("di_table", 1), "d": ("d_table",), "a": ("a_table",),
+               "h": ("h_table",)}  # kind -> dp.build's (family, *start row)
+SEQUENCE_TARGETS = {"imn-fixed-m": "imn_sequence", "d1-bottom-row": "d1_bottom_row"}
 WORD_BATCH = 4096  # list items (words, sequence values) formatted per write
 
 
@@ -138,23 +141,14 @@ def render_table_markdown(
         out.write("| H(s,s) | " + " | ".join(map(str, footer)) + " |\n")
 
 
-def _build_table(kind: str, rows: int, cols: int) -> CountMatrix:
-    dims = TableDims(rows, cols)
-    if kind == "d1":
-        return dp.di_table(dims, 1)
-    if kind == "d":
-        return dp.d_table(dims)
-    if kind == "a":
-        if rows != cols:
-            raise UsageError("kind 'a' is a square family; use --rows == --cols")
-        return dp.a_table(cols)
-    return dp.h_table(dims)
-
-
 def _cmd_table(args) -> int:
     if args.hss_footer and (args.kind != "d1" or args.format != "markdown"):
         raise UsageError("--hss-footer requires --kind d1 and markdown format")
-    matrix = _build_table(args.kind, args.rows, args.cols)
+    TableDims(args.rows, args.cols)  # the dims check comes before kind a's
+    if args.kind == "a" and args.rows != args.cols:
+        raise UsageError("kind 'a' is a square family; use --rows == --cols")
+    family, *start = TABLE_KINDS[args.kind]
+    matrix = dp.build(family, args.rows, args.cols, *start)
     footer = dp.hss_values(matrix) if args.hss_footer else None
     # Convert the largest value before writing anything, so a table past
     # the int->str digit limit fails with empty stdout.
@@ -178,10 +172,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_sequence(args) -> int:
-    if args.target == "imn-fixed-m":
-        values = dp.imn_sequence(args.rows, args.max_n)
-    else:
-        values = dp.d1_bottom_row(args.rows, args.max_n)
+    values = getattr(dp, SEQUENCE_TARGETS[args.target])(args.rows, args.max_n)
     str(max(values))  # past the int->str digit limit: fail before any write
     head = f'  "target": "{args.target}",\n  "rows": {args.rows},\n'
     line = "{0[0]},{0[1]}\n" if args.format == "csv" else "{0[1]}\n"

@@ -6,8 +6,9 @@ t.  One generator, ``_march``, holds the only column loop: each family
 starts it from its own first column (a unit column for D^i and A, all
 ones for D and I_m(n)) and marches a dense row vector column by column
 with O(rows) state; full matrices are materialized only when a
-CountMatrix is requested.  ``cached`` is the one memo of built tables,
-shared by the verifier's engine side and the closed forms.
+CountMatrix is requested.  ``build`` is the one switch from a family
+name to a table: the CLI calls it directly, and ``cached``, the memo
+shared by the verifier's engine side and the closed forms, wraps it.
 
 Confinement is enforced by clipping the stencil at the vector ends; the
 virtual rows 0 and rows+1 are never stored.
@@ -96,17 +97,17 @@ def h_table(dims: TableDims) -> CountMatrix:
     return CountMatrix(dims, map(accumulate, di_table(dims, 1).columns()))
 
 
-# The bound holds an identity grid's working set, about one width per
-# column at each height, and caps the memory held.
-@lru_cache(maxsize=128)
-def cached(family: str, rows: int, cols: int, *start: int) -> CountMatrix:
-    """The one memo of engine tables: the ``rows`` x ``cols`` table of
-    ``family`` (``di_table`` with its ``start`` row, ``d_table``,
-    ``h_table``, or ``a_table`` with rows == cols), keyed on exactly
-    these arguments.  The builder is looked up on this module at call
-    time, so a wrapped or patched builder sees every real build."""
-    build = globals()[family]
-    return build(rows) if family == "a_table" else build(TableDims(rows, cols), *start)
+def build(family: str, rows: int, cols: int, *start: int) -> CountMatrix:
+    """A new ``rows`` x ``cols`` table of ``family``: ``di_table`` with its
+    ``start`` row, ``d_table``, ``h_table``, or ``a_table`` (rows == cols).
+    The builder is looked up at call time, so a patched one sees every build."""
+    make = globals()[family]
+    return make(rows) if family == "a_table" else make(TableDims(rows, cols), *start)
+
+
+# The one memo, keyed on ``build``'s arguments: 128 tables hold an identity
+# grid's working set, about one width per column at each height.
+cached = lru_cache(maxsize=128)(build)
 
 
 def hss_values(d1: CountMatrix) -> list[int]:

@@ -4,8 +4,8 @@ This module is the trust anchor: it never consults the column-marching
 engine or the closed forms, only the step definitions.  One depth-first
 search on an explicit stack, ``_search``, lists every word and backs
 every brute count.  It prunes any prefix that leaves [floor, ceiling] or
-can no longer reach its target row, and it has no recursion limit, so
-word length is bounded only by the configured cap.
+can no longer reach its target row.  It has no recursion limit and keeps
+one letter buffer, so word length is bounded only by the configured cap.
 """
 
 from __future__ import annotations
@@ -102,8 +102,8 @@ def _search(
         starts = range(floor, ceiling + 1)
     # Inner prefixes are pushed d, r, u so that u pops first; the last
     # letter is yielded straight away, u first.
-    pushes = [(ch, STEP_RISE[ch]) for ch in reversed(filt.alphabet)]
-    lasts = pushes[::-1]
+    lasts = [(ch, STEP_RISE[ch]) for ch in filt.alphabet]
+    pushes = [(ord(ch), rise) for ch, rise in reversed(lasts)]
     for start in starts:
         target = filt.end_row
         if filt.net_displacement is not None:
@@ -119,19 +119,22 @@ def _search(
         if not length:
             yield start, ""
             continue
-        stack = [(start, "")]
+        buf = bytearray(length)  # letters 1..depth of the prefix; buf[0] unused
+        stack = [(0, start, 0)]  # (depth, row, letter that pops into buf[depth])
         push = stack.append
         while stack:
-            row, letters = stack.pop()
-            left = length - len(letters) - 1
+            depth, row, buf[depth] = stack.pop()
+            left = length - depth - 1
             lo, hi = lows[left], highs[left]
-            for ch, rise in pushes if left else lasts:
-                nxt = row + rise
-                if lo <= nxt <= hi:
-                    if left:
-                        push((nxt, letters + ch))
-                    else:
-                        yield start, letters + ch
+            if left:
+                for code, rise in pushes:
+                    if lo <= (nxt := row + rise) <= hi:
+                        push((depth + 1, nxt, code))
+            else:
+                prefix = buf[1:].decode()
+                for ch, rise in lasts:
+                    if lo <= row + rise <= hi:
+                        yield start, prefix + ch
 
 
 def enumerate_words(

@@ -142,7 +142,7 @@ def _catalan(hi, fn, ks):
     return [a.get(2 * k + 1, 1) for k in ks], [_FORMULAS[fn](k) for k in ks]
 
 
-def _flip(hi, fn, m, n, i, s, ts):
+def _flip(hi, fn, m, i, n, s, ts):
     # Both sides are engine tables: start row m + 1 - i read upside down.
     up = dp.cached("di_table", m, hi["n"], i).column(s)
     down = dp.cached("di_table", m, hi["n"], m + 1 - i).column(s)[::-1]
@@ -206,8 +206,8 @@ _REGISTRY: dict[str, _Identity] = {
     "CATALAN-EDGE": _Identity(
         (_axis("k", 0),), _catalan, {"k": 5}, PASS, "catalan_number"
     ),
-    "FLIP-SYMMETRY": _Identity(
-        (_M, _N, _axis("i", upto="m"), _axis("s", upto="n"), _axis("t", upto="m")),
+    "FLIP-SYMMETRY": _Identity(  # order m, i, n, s, t: an (m, i) block reads two tables
+        (_M, _axis("i", upto="m"), _N, _axis("s", upto="n"), _axis("t", upto="m")),
         _flip, _MN, PASS,
     ),
     "REVERSAL": _Identity((_N,), _reversal, {"n": 10}, PASS),

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from golden_tables import FIGURE1_ROW_WORDS, MOTZKIN
-from tablepaths import cli, oracle
+from tablepaths import cli, dp, oracle
 from tablepaths.core import TableDims, row_trace
 from tablepaths.dp import (
     a_table, d1_bottom_row, d_table, di_table, h_table, hss_values, imn_sequence,
@@ -194,6 +194,23 @@ def test_footer_requires_d1_markdown(capsys):
 def test_a_kind_requires_square(capsys):
     code, _, err = run_cli(capsys, "table", "--kind", "a", "-m", "5", "-n", "10")
     assert code == 1 and "square" in err
+
+
+def test_table_dims_are_checked_before_the_square_rule(capsys):
+    code, out, err = run_cli(capsys, "table", "--kind", "a", "-m", "0", "-n", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: table dimensions must be positive, got 0x1\n"
+
+
+def test_every_table_kind_is_built_by_dp_build_outside_the_memo(capsys, monkeypatch):
+    calls, real = [], dp.build
+    monkeypatch.setattr(dp, "build", lambda *args: calls.append(args) or real(*args))
+    dp.cached.cache_clear()
+    for kind in cli.TABLE_KINDS:
+        assert run_cli(capsys, "table", "--kind", kind, "-m", "4", "-n", "4")[0] == 0
+    families = cli.TABLE_KINDS.values()
+    assert calls == [(family, 4, 4, *start) for family, *start in families]
+    assert dp.cached.cache_info().currsize == 0
 
 
 def test_sequence_examples(capsys):

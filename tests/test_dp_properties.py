@@ -1,0 +1,116 @@
+"""Property tests: the engine against the brute-force oracle.
+
+Every family ``dp.build`` makes must agree cell by cell with oracle
+counts, the engine's pair, whole-table and free counts must equal the
+brute counts, and every CLI table kind must read back from its csv and
+json output as the table ``dp.build`` returns.  Settings are fixed
+(derandomized, bounded examples) so runs repeat.
+"""
+
+import io
+from contextlib import redirect_stdout
+
+import pytest
+
+from tablepaths import cli, dp
+from tablepaths.core import Cell, TableDims
+from tablepaths.oracle import (
+    WordFilter,
+    brute_free,
+    brute_imn,
+    brute_pair_count,
+    enumerate_words,
+)
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+FIXED = settings(
+    derandomize=True, max_examples=60, deadline=None, database=None
+)
+ROWS, COLS = st.integers(1, 4), st.integers(1, 7)
+
+
+def oracle_count(length, filt):
+    return sum(1 for _ in enumerate_words(length, filt))
+
+
+def cells(dims):
+    return [(s, t) for s in range(1, dims.cols + 1) for t in range(1, dims.rows + 1)]
+
+
+@FIXED
+@given(ROWS, COLS)
+def test_start_row_tables_count_confined_words(rows, cols):
+    dims = TableDims(rows, cols)
+    for i in range(1, rows + 1):
+        table = dp.build("di_table", rows, cols, i)
+        for s, t in cells(dims):
+            want = brute_pair_count(dims, Cell(1, i), Cell(s, t))
+            assert table.get(s, t) == want, (i, s, t)
+
+
+@FIXED
+@given(ROWS, COLS)
+def test_start_anywhere_table_counts_confined_words(rows, cols):
+    dims = TableDims(rows, cols)
+    table = dp.build("d_table", rows, cols)
+    for s, t in cells(dims):
+        want = oracle_count(s - 1, WordFilter.in_table(dims, end_row=t))
+        assert table.get(s, t) == want, (s, t)
+
+
+@FIXED
+@given(ROWS, COLS)
+def test_prefix_sum_table_sums_start_row_one_counts(rows, cols):
+    dims = TableDims(rows, cols)
+    table = dp.build("h_table", rows, cols)
+    for s, t in cells(dims):
+        want = sum(
+            brute_pair_count(dims, Cell(1, 1), Cell(s, r)) for r in range(1, t + 1)
+        )
+        assert table.get(s, t) == want, (s, t)
+
+
+@FIXED
+@given(st.integers(1, 8))
+def test_two_letter_table_counts_ud_words_above_the_floor(n):
+    table = dp.build("a_table", n, n)
+    for s, t in cells(TableDims(n, n)):
+        filt = WordFilter(alphabet="ud", start_row=1, floor=1, end_row=t)
+        assert table.get(s, t) == oracle_count(s - 1, filt), (s, t)
+
+
+@FIXED
+@given(ROWS, COLS, st.data())
+def test_pair_and_whole_table_counts_equal_brute_counts(rows, cols, data):
+    dims = TableDims(rows, cols)
+    c0 = data.draw(st.integers(1, cols))
+    c1 = data.draw(st.integers(c0, cols))
+    r0, r1 = data.draw(st.integers(1, rows)), data.draw(st.integers(1, rows))
+    start, end = Cell(c0, r0), Cell(c1, r1)
+    assert dp.bounded_pair_count(dims, start, end) == brute_pair_count(dims, start, end)
+    assert dp.imn(dims) == brute_imn(dims)
+
+
+@FIXED
+@given(st.integers(-9, 9), st.integers(0, 8))
+def test_free_count_equals_brute_count(x, y):
+    assert dp.free_count(x, y) == brute_free(x, y)
+
+
+@FIXED
+@given(st.sampled_from(sorted(cli.TABLE_KINDS)), ROWS, COLS)
+def test_table_output_parses_back_to_the_built_table(kind, rows, cols):
+    if kind == "a":
+        cols = rows  # a square family
+    family, *start = cli.TABLE_KINDS[kind]
+    want = dp.build(family, rows, cols, *start)
+    parsers = {"csv": cli.parse_table_csv, "json": cli.parse_table_json}
+    for fmt, parse in parsers.items():
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(["table", "--kind", kind, "-m", str(rows),
+                             "-n", str(cols), "--format", fmt])
+        assert code == 0
+        assert parse(out.getvalue()) == want, fmt

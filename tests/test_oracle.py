@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from golden_tables import FIGURE1_ROW_WORDS
@@ -153,3 +156,19 @@ def test_brute_free_full_sweep_to_ten():
         for x in range(-y, y + 1):
             want = buckets.get(x, 0)
             assert want == free_count(x, y) == s_free_closed(x, y), (x, y)
+
+
+def test_deep_listing_memory_is_linear_in_word_length():
+    # The search keeps one letter buffer, not one prefix string per
+    # pending entry, so four times the length costs about four times the
+    # memory to reach the first word; a prefix per entry costs sixteen.
+    def peak(length):
+        gc.collect()  # empties the free lists, so every run allocates alike
+        tracemalloc.start()
+        try:
+            next(enumerate_words(length, WordFilter(start_row=1), cap=length))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4000) < 6 * peak(1000)

@@ -232,6 +232,22 @@ def test_engine_tables_built_once_per_shape(monkeypatch):
     assert len([a for name, a in calls if name == "di_table"]) <= 42
 
 
+def test_flip_symmetry_builds_do_not_grow_with_n(monkeypatch):
+    # At m = 130 one height needs more start-row tables than the memo's
+    # 128; walking (m, i) outermost reads the same two tables over every
+    # n, so a wider grid rebuilds nothing.
+    calls = _count_engine_builds(monkeypatch)
+    builds = []
+    for n in (1, 2):
+        dp.cached.cache_clear()
+        calls.clear()
+        report = run_identity(default_spec("FLIP-SYMMETRY", {"m": 130, "n": n}))
+        assert report.verdict == "PASS"
+        builds.append(len(calls))
+    dp.cached.cache_clear()
+    assert builds[0] == builds[1]
+
+
 DOUBLED_GRID = {"m": 12, "n": 24, "s": 24, "y": 20, "k": 10}
 DOUBLED_CASES = {
     "A-CLOSED": 300,
