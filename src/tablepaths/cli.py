@@ -22,7 +22,7 @@ from itertools import chain, islice
 from typing import Iterable, Optional, Sequence, TextIO
 
 from . import dp, oracle, verify
-from .core import Cell, CountMatrix, TableDims, row_trace
+from .core import Cell, CountMatrix, TableDims
 
 CAP_ENV_VAR = "TABLEPATHS_ORACLE_CAP"
 FORMATS = ("csv", "json", "markdown")
@@ -61,20 +61,20 @@ def _write_json(out: TextIO, head: str, key: str, chunks: Iterable[str]) -> None
 
 
 def _write_list(fmt, items, head, key, json_item, csv_header, line) -> None:
-    """Write ``items`` in batches of WORD_BATCH: as the json list ``key``
-    after the members ``head``, else one ``line`` each, under ``csv_header``
-    in csv.  Taking the first item before any write keeps errors off stdout."""
+    """Write ``items`` in batches of WORD_BATCH, each formatted as it is
+    read: as the json list ``key`` after the members ``head``, else one
+    ``line`` each, under ``csv_header`` in csv.  Taking the first item
+    before any write keeps errors off stdout."""
     first = next(items, None)
     if first is not None:
         items = chain([first], items)
-    batches = iter(lambda: list(islice(items, WORD_BATCH)), [])
+    sep, item = (",\n", json_item) if fmt == "json" else ("", line)
+    chunks = iter(lambda: sep.join(map(item, islice(items, WORD_BATCH))), "")
     if fmt == "json":
-        chunks = (",\n".join(map(json_item, batch)) for batch in batches)
         return _write_json(sys.stdout, head, key, chunks)
     if fmt == "csv":
         sys.stdout.write(csv_header)
-    for batch in batches:
-        sys.stdout.write("".join(map(line, batch)))
+    sys.stdout.writelines(chunks)
 
 
 def render_table_csv(out: TextIO, matrix: CountMatrix) -> None:
@@ -145,8 +145,6 @@ def _cmd_table(args) -> int:
     if args.hss_footer and (args.kind != "d1" or args.format != "markdown"):
         raise UsageError("--hss-footer requires --kind d1 and markdown format")
     TableDims(args.rows, args.cols)  # the dims check comes before kind a's
-    if args.kind == "a" and args.rows != args.cols:
-        raise UsageError("kind 'a' is a square family; use --rows == --cols")
     family, *start = TABLE_KINDS[args.kind]
     matrix = dp.build(family, args.rows, args.cols, *start)
     footer = dp.hss_values(matrix) if args.hss_footer else None
@@ -281,15 +279,21 @@ def _cmd_words(args) -> int:
         net_displacement=args.net,
     )
     cap = _resolve_cap(args.cap)
-    line = "{},{}\n" if args.format == "csv" else "{} {}\n"
+    sep = "," if args.format == "csv" else " "
+
+    def line(w) -> str:  # format_trace(row_trace(w)), from the search's trace
+        trace = w.trace
+        if len(trace) == 2 * len(w.letters) + 1:  # every row is one digit
+            trace = trace.replace(",", "")
+        return f"{w.letters or 'ε'}{sep}{trace}\n"
+
     _write_list(
         args.format, oracle.enumerate_words(length, filt, cap=cap), "", "words",
         # Letters are validated to "urd", so they need no JSON escaping.
         lambda w: f'    {{\n      "letters": "{w.letters}",\n'
         f'      "start_row": {w.start_row},\n      "trace": [\n        '
-        + ",\n        ".join(map(str, row_trace(w))) + "\n      ]\n    }",
-        "word,trace\n",
-        lambda w: line.format(w.letters or "ε", format_trace(row_trace(w))),
+        + w.trace.replace(",", ",\n        ") + "\n      ]\n    }",
+        "word,trace\n", line,
     )
     return 0
 

@@ -9,13 +9,13 @@ Conventions used everywhere in this package:
 * Counts are plain Python ``int`` values (arbitrary precision) and are
   never negative.
 
-All values here are immutable after construction and safe to share
-across threads.
+All values here are immutable after construction (``LatticeWord`` and
+``CountMatrix`` by convention) and safe to share across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterator, Sequence
 
@@ -68,21 +68,24 @@ def check_pair(dims: TableDims, start: Cell, end: Cell) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class LatticeWord:
     """A word over the letters u, r, d together with its starting row.
 
     The induced row sequence is start_row, then one entry per letter,
-    each shifted by that letter's rise.
+    each shifted by that letter's rise; ``trace`` holds it comma-joined
+    ("1,2,1").  Words compare and hash on (letters, start_row).
     """
 
     letters: str
     start_row: int = 1
+    trace: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         bad = set(self.letters) - set(LETTERS)
         if bad:
             raise ValueError(f"letters must be from 'urd', got {sorted(bad)!r}")
+        self.trace = ",".join(map(str, row_trace(self)))
 
     def __len__(self) -> int:
         return len(self.letters)

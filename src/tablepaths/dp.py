@@ -102,6 +102,8 @@ def build(family: str, rows: int, cols: int, *start: int) -> CountMatrix:
     ``start`` row, ``d_table``, ``h_table``, or ``a_table`` (rows == cols).
     The builder is looked up at call time, so a patched one sees every build."""
     make = globals()[family]
+    if family == "a_table" and cols != rows:
+        raise ValueError("kind 'a' is a square family; use --rows == --cols")
     return make(rows) if family == "a_table" else make(TableDims(rows, cols), *start)
 
 

@@ -6,6 +6,8 @@ search on an explicit stack, ``_search``, lists every word and backs
 every brute count.  It prunes any prefix that leaves [floor, ceiling] or
 can no longer reach its target row.  It has no recursion limit and keeps
 one letter buffer, so word length is bounded only by the configured cap.
+Listings also keep a row buffer, joined into the traces once per prefix
+one letter short of a word; brute counts never fill it.
 """
 
 from __future__ import annotations
@@ -80,10 +82,12 @@ class WordFilter:
 
 
 def _search(
-    length: int, filt: WordFilter, cap: int, what: str = "word length"
-) -> Iterator[tuple[int, str]]:
+    length: int, filt: WordFilter, cap: int, what: str = "word length",
+    traced: bool = False,
+) -> Iterator[tuple]:
     """Yield ``(start_row, letters)`` for every word the filter admits,
-    start rows ascending, then lexicographic with u < r < d.
+    start rows ascending, then lexicographic with u < r < d; ``traced``
+    appends the visited rows, comma-joined, as a third item.
 
     The window of admissible rows for each number of letters left is
     computed once per start row; a prefix outside it is pruned.
@@ -117,19 +121,27 @@ def _search(
         if not lows[length] <= start <= highs[length]:
             continue
         if not length:
-            yield start, ""
+            yield (start, "", str(start)) if traced else (start, "")
             continue
         buf = bytearray(length)  # letters 1..depth of the prefix; buf[0] unused
+        rows = [""] * length  # rows 0..depth of the prefix, as text
         stack = [(0, start, 0)]  # (depth, row, letter that pops into buf[depth])
         push = stack.append
         while stack:
             depth, row, buf[depth] = stack.pop()
+            if traced:
+                rows[depth] = str(row)
             left = length - depth - 1
             lo, hi = lows[left], highs[left]
             if left:
                 for code, rise in pushes:
                     if lo <= (nxt := row + rise) <= hi:
                         push((depth + 1, nxt, code))
+            elif traced:
+                prefix, head = buf[1:].decode(), ",".join(rows) + ","
+                for ch, rise in lasts:
+                    if lo <= row + rise <= hi:
+                        yield start, prefix + ch, head + str(row + rise)
             else:
                 prefix = buf[1:].decode()
                 for ch, rise in lasts:
@@ -142,8 +154,11 @@ def enumerate_words(
 ) -> Iterator[LatticeWord]:
     """Yield every word of the given length satisfying the filter, in
     lexicographic order with u < r < d and start rows ascending."""
-    for start, letters in _search(length, filt, cap):
-        yield LatticeWord(letters, start)
+    new = LatticeWord.__new__  # the search's letters and rows need no checks
+    for start, letters, trace in _search(length, filt, cap, traced=True):
+        word = new(LatticeWord)
+        word.letters, word.start_row, word.trace = letters, start, trace
+        yield word
 
 
 def brute_pair_count(

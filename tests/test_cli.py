@@ -192,8 +192,9 @@ def test_footer_requires_d1_markdown(capsys):
 
 
 def test_a_kind_requires_square(capsys):
-    code, _, err = run_cli(capsys, "table", "--kind", "a", "-m", "5", "-n", "10")
-    assert code == 1 and "square" in err
+    code, out, err = run_cli(capsys, "table", "--kind", "a", "-m", "5", "-n", "10")
+    assert (code, out) == (1, "")
+    assert err == "error: kind 'a' is a square family; use --rows == --cols\n"
 
 
 def test_table_dims_are_checked_before_the_square_rule(capsys):
@@ -550,6 +551,14 @@ def _joined_words(words, fmt):
          {"start_row": -1, "alphabet": "ud"}),
         (("--length", "5", "-m", "3", "--net", "1"),
          {"floor": 1, "ceiling": 3, "net_displacement": 1}),
+        # Traces that leave 0..9: only at the last letter, from a start
+        # row above 9, below 0, and a one-row two-digit trace.
+        (("--length", "3", "--start", "8"), {"start_row": 8}),
+        (("--length", "2", "--start", "10", "--alphabet", "ud"),
+         {"start_row": 10, "alphabet": "ud"}),
+        (("--length", "4", "--start", "1", "--net", "-3"),
+         {"start_row": 1, "net_displacement": -3}),
+        (("--length", "0", "--start", "12"), {"start_row": 12}),
     ],
 )
 def test_streamed_words_match_joined_output(capsys, argv, filt, fmt):
@@ -559,12 +568,15 @@ def test_streamed_words_match_joined_output(capsys, argv, filt, fmt):
     assert out == _joined_words(words, fmt)
 
 
-def test_words_stream_in_batches(capsys):
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_words_stream_in_batches(capsys, fmt):
     # 3^9 words span several write batches.
-    code, out, _ = run_cli(capsys, "words", "--length", "9", "--start", "1")
+    code, out, _ = run_cli(
+        capsys, "words", "--length", "9", "--start", "1", "--format", fmt
+    )
     words = list(oracle.enumerate_words(9, oracle.WordFilter(start_row=1)))
     assert len(words) > 4 * cli.WORD_BATCH
-    assert code == 0 and out == _joined_words(words, "plain")
+    assert code == 0 and out == _joined_words(words, fmt)
 
 
 def _joined_sequence(target, rows, values, fmt):

@@ -34,6 +34,32 @@ def test_letter_count_rejects_unknown_letter():
 def test_word_rejects_bad_letters():
     with pytest.raises(ValueError):
         LatticeWord("uxr")
+    with pytest.raises(ValueError) as err:
+        LatticeWord("uxar", 2)
+    assert str(err.value) == "letters must be from 'urd', got ['a', 'x']"
+
+
+def test_word_equality_and_hash_use_letters_and_start_row():
+    word = LatticeWord("ud", 1)
+    assert word == LatticeWord("ud") == LatticeWord(letters="ud", start_row=1)
+    assert hash(word) == hash(LatticeWord("ud")) == hash(("ud", 1))
+    assert word != LatticeWord("ud", 2) and word != LatticeWord("du", 1)
+    assert word != ("ud", 1)
+    # A listed word equals, and hashes as, the word built from its parts.
+    listed = list(enumerate_words(3, WordFilter(start_row=-2)))
+    built = [LatticeWord(w.letters, -2) for w in listed]
+    assert listed == built and set(listed) == set(built)
+    assert len(set(listed + built)) == len(listed) == 27
+
+
+def test_word_repr_and_len():
+    assert repr(LatticeWord("ud", start_row=1)) == (
+        "LatticeWord(letters='ud', start_row=1)"
+    )
+    first = next(enumerate_words(2, WordFilter(start_row=12)))
+    assert repr(first) == "LatticeWord(letters='uu', start_row=12)"
+    assert len(LatticeWord("urd", 5)) == 3 and len(LatticeWord("")) == 0
+    assert len(first) == 2
 
 
 def test_row_trace_examples():

@@ -321,3 +321,18 @@ def test_cached_tables_equal_fresh_builds(monkeypatch):
     assert dp.cached("d_table", 3, 5) is dp.cached("d_table", 3, 5)
     assert builds == [TableDims(3, 5)]
     dp.cached.cache_clear()
+
+
+def test_build_rejects_a_non_square_a_table():
+    # Kind a is square; a wider or narrower request is refused, not
+    # answered (and memoized) as the rows x rows table.
+    dp.cached.cache_clear()
+    for rows, cols in [(3, 5), (5, 3)]:
+        for build in (dp.build, dp.cached):
+            with pytest.raises(ValueError) as err:
+                build("a_table", rows, cols)
+            assert str(err.value) == (
+                "kind 'a' is a square family; use --rows == --cols"
+            )
+    assert dp.cached.cache_info().currsize == 0
+    assert dp.build("a_table", 3, 3) == a_table(3)

@@ -1,7 +1,8 @@
 """Property tests: the oracle against the definition of a lattice word.
 
 Every listing must equal the filtered product over the alphabet, in the
-same order, and every brute count must equal the size of its listing.
+same order, every listed word must carry its visited rows as its trace,
+and every brute count must equal the size of its listing.
 Settings are fixed (derandomized, bounded examples) so runs repeat.
 """
 
@@ -9,7 +10,7 @@ from itertools import product
 
 import pytest
 
-from tablepaths.core import Cell, LatticeWord, TableDims, row_trace
+from tablepaths.core import STEP_RISE, Cell, LatticeWord, TableDims, row_trace
 from tablepaths.oracle import (
     WordFilter,
     brute_free,
@@ -70,6 +71,17 @@ def word_filters(draw):
 def test_listing_is_the_filtered_product(filt, length):
     got = [(w.start_row, w.letters) for w in enumerate_words(length, filt)]
     assert got == list(by_definition(length, filt))
+
+
+@FIXED
+@given(word_filters(), st.integers(0, 6))
+def test_listed_traces_are_the_visited_rows(filt, length):
+    # Rows recomputed from the letters and their rises, not by row_trace.
+    for word in enumerate_words(length, filt):
+        rows = [word.start_row]
+        for ch in word.letters:
+            rows.append(rows[-1] + STEP_RISE[ch])
+        assert word.trace == ",".join(map(str, rows))
 
 
 @FIXED
