@@ -235,13 +235,6 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def format_trace(trace: Sequence[int]) -> str:
-    """Digit string like 121 when unambiguous, comma-joined otherwise."""
-    if all(0 <= r <= 9 for r in trace):
-        return "".join(str(r) for r in trace)
-    return ",".join(str(r) for r in trace)
-
-
 def _resolve_cap(flag_value: Optional[int]) -> int:
     if flag_value is not None:
         return flag_value
@@ -281,7 +274,7 @@ def _cmd_words(args) -> int:
     cap = _resolve_cap(args.cap)
     sep = "," if args.format == "csv" else " "
 
-    def line(w) -> str:  # format_trace(row_trace(w)), from the search's trace
+    def line(w) -> str:  # digits like 121 when unambiguous, else comma-joined
         trace = w.trace
         if len(trace) == 2 * len(w.letters) + 1:  # every row is one digit
             trace = trace.replace(",", "")

@@ -97,10 +97,15 @@ def h_table(dims: TableDims) -> CountMatrix:
     return CountMatrix(dims, map(accumulate, di_table(dims, 1).columns()))
 
 
+_FAMILIES = ("di_table", "d_table", "h_table", "a_table")  # what ``build`` builds
+
+
 def build(family: str, rows: int, cols: int, *start: int) -> CountMatrix:
     """A new ``rows`` x ``cols`` table of ``family``: ``di_table`` with its
     ``start`` row, ``d_table``, ``h_table``, or ``a_table`` (rows == cols).
     The builder is looked up at call time, so a patched one sees every build."""
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown table family {family!r}")
     make = globals()[family]
     if family == "a_table" and cols != rows:
         raise ValueError("kind 'a' is a square family; use --rows == --cols")

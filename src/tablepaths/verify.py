@@ -53,9 +53,6 @@ class IdentitySpec:
     domain: tuple[tuple[str, int], ...]
     expected: str  # PASS or DOCUMENTED-FAILURE
 
-    def domain_dict(self) -> dict[str, int]:
-        return dict(self.domain)
-
 
 @dataclass(frozen=True)
 class Counterexample:
@@ -277,7 +274,7 @@ def default_suite(overrides: Optional[Mapping[str, int]] = None) -> list[Identit
 def run_identity(spec: IdentitySpec) -> IdentityReport:
     """Evaluate both sides on every grid point; deterministic report.
     A run that checks no case is FAIL whatever the expected verdict."""
-    row, dom = _row(spec.identity), spec.domain_dict()
+    row, dom = _row(spec.identity), dict(spec.domain)
     box = {axis: (-inf, dom[axis]) for axis in row.domain}
     cases, failures, first = 0, 0, None
     for prefix, values, lhs, rhs in _lines(row, box, probe=False):
@@ -334,14 +331,6 @@ class CalibrationResult:
 
     def profile_dict(self) -> dict[int, int]:
         return dict(self.profile)
-
-    def to_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "searched": {a: list(b) for a, b in self.searched},
-            "axis_box": {a: list(b) for a, b in self.axis_box},
-            "profile": {str(k): v for k, v in self.profile},
-        }
 
 
 def calibrate_domain(

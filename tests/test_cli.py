@@ -421,6 +421,22 @@ def test_module_invocation_subprocess():
     assert proc.stdout == "2\n"
 
 
+def test_package_root_loads_no_module_and_script_entry_runs():
+    # The package root exports only __version__; cli.main is the
+    # [project.scripts] entry point, run here as the installed script does.
+    code = (
+        "import sys, tablepaths\n"
+        "print(sorted(m for m in sys.modules if m.startswith('tablepaths.')))\n"
+        "from tablepaths.cli import main\n"
+        "print(repr(main(['--help'])), file=sys.stderr)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stderr) == (0, "0\n")
+    assert proc.stdout.startswith("[]\nusage: tablepaths ")
+
+
 OPTION_SURFACE = {
     "table": [("--kind",), ("-m", "--rows"), ("-n", "--cols"), ("--format",),
               ("--hss-footer",)],
@@ -523,6 +539,14 @@ def test_streamed_tables_match_joined_renderers(rows, cols):
     )
 
 
+def format_trace(trace):
+    """Digit string like 121 when unambiguous, comma-joined otherwise: the
+    reference for the trace text that ``words`` prints."""
+    if all(0 <= r <= 9 for r in trace):
+        return "".join(str(r) for r in trace)
+    return ",".join(str(r) for r in trace)
+
+
 def _joined_words(words, fmt):
     if fmt == "json":
         payload = {"words": [
@@ -531,7 +555,7 @@ def _joined_words(words, fmt):
             for w in words
         ]}
         return json.dumps(payload, indent=2) + "\n"
-    lines = [(w.letters or "ε", cli.format_trace(row_trace(w))) for w in words]
+    lines = [(w.letters or "ε", format_trace(row_trace(w))) for w in words]
     if fmt == "csv":
         out = ["word,trace"] + [f"{a},{b}" for a, b in lines]
     else:

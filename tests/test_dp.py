@@ -336,3 +336,15 @@ def test_build_rejects_a_non_square_a_table():
             )
     assert dp.cached.cache_info().currsize == 0
     assert dp.build("a_table", 3, 3) == a_table(3)
+
+
+@pytest.mark.parametrize("family", ["imn", "bogus", "hss_values", "build", "_advance3"])
+def test_build_accepts_only_the_table_families(family):
+    # Any other module-level name is refused before it is called, so the
+    # memo never keeps an int (imn) or a helper's result as a table.
+    dp.cached.cache_clear()
+    for build in (dp.build, dp.cached):
+        with pytest.raises(ValueError) as err:
+            build(family, 3, 3)
+        assert str(err.value) == f"unknown table family {family!r}"
+    assert dp.cached.cache_info().currsize == 0

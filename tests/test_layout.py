@@ -1,4 +1,5 @@
-"""Stdlib-only lint of the package source: no unused imports, no long lines."""
+"""Stdlib-only lint of the package source: no unused imports, no long
+lines, and no module import outside its pinned place in the import graph."""
 
 import ast
 from pathlib import Path
@@ -8,8 +9,19 @@ import pytest
 import tablepaths
 
 SRC = Path(tablepaths.__file__).parent
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 MAX_COLUMNS = 88
+# module -> the package modules it imports; each layer reads only those below
+IMPORT_GRAPH = {
+    "__init__": set(),
+    "core": set(),
+    "dp": {"core"},
+    "oracle": {"core"},
+    "formulas": {"core", "dp"},
+    "verify": {"core", "dp", "formulas"},
+    "cli": {"core", "dp", "oracle", "verify"},
+    "__main__": {"cli"},
+}
 
 
 def _imported(tree: ast.Module) -> set[str]:
@@ -38,3 +50,28 @@ def test_no_source_line_is_too_long():
         if len(line) > MAX_COLUMNS
     ]
     assert long_lines == []
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """Package modules the module imports, relative or through ``tablepaths``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("tablepaths."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.partition(".")[0] != "tablepaths":
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                names.add(module.partition(".")[0])
+            else:
+                names.update(a.name for a in node.names)
+    return names
+
+
+def test_import_graph_is_pinned():
+    graph = {p.stem: _package_imports(ast.parse(p.read_text())) for p in MODULES}
+    assert graph == IMPORT_GRAPH
