@@ -2,14 +2,15 @@
 
 Subcommands: ``table`` renders a counting family, ``count`` evaluates
 one pair count, ``sequence`` emits a sequence, ``verify`` drives the
-identity suite and ``words`` lists matching lattice words.  Kinds and
+identity suite and ``words`` lists matching lattice words; every form of
+a ``verify`` report (json, markdown, csv) is rendered here.  Kinds and
 targets name ``dp`` functions.  Every table is built by ``dp.build``, not
 through its memo ``dp.cached``, so no big table outlives its request.
 
-Exit codes: 0 success, 1 usage or resource error, 2 verification
-mismatch.  All values are printed as decimal strings; tables print with
-the row index decreasing downward so they can be compared against
-printed references directly.
+Exit codes: 0 success, 1 usage or resource error (a value past the
+int->str digit limit included), 2 verification mismatch.  All values are
+printed as decimal strings; tables print with the row index decreasing
+downward so they can be compared against printed references directly.
 """
 
 from __future__ import annotations
@@ -75,6 +76,16 @@ def _write_list(fmt, items, head, key, json_item, csv_header, line) -> None:
     if fmt == "csv":
         sys.stdout.write(csv_header)
     sys.stdout.writelines(chunks)
+
+
+def _decimal(value: int) -> str:
+    """``value`` in decimal, or a one-line error naming the int->str limit."""
+    try:
+        return str(value)
+    except ValueError:  # only from 3.10.7 on, which has the limit's getter
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"a value has more than {limit} decimal digits, "
+                         "past the int->str conversion limit") from None
 
 
 def render_table_csv(out: TextIO, matrix: CountMatrix) -> None:
@@ -144,13 +155,11 @@ def render_table_markdown(
 def _cmd_table(args) -> int:
     if args.hss_footer and (args.kind != "d1" or args.format != "markdown"):
         raise UsageError("--hss-footer requires --kind d1 and markdown format")
-    TableDims(args.rows, args.cols)  # the dims check comes before kind a's
     family, *start = TABLE_KINDS[args.kind]
     matrix = dp.build(family, args.rows, args.cols, *start)
     footer = dp.hss_values(matrix) if args.hss_footer else None
-    # Convert the largest value before writing anything, so a table past
-    # the int->str digit limit fails with empty stdout.
-    str(max(chain(map(max, matrix.columns()), footer or ())))
+    # Past the digit limit: fail before any write, footer included.
+    _decimal(max(chain(map(max, matrix.columns()), footer or ())))
     if args.format == "csv":
         render_table_csv(sys.stdout, matrix)
     elif args.format == "json":
@@ -165,13 +174,13 @@ def _cmd_count(args) -> int:
     count = dp.bounded_pair_count(
         dims, Cell(args.from_col, args.from_row), Cell(args.to_col, args.to_row)
     )
-    sys.stdout.write(f"{count}\n")
+    sys.stdout.write(_decimal(count) + "\n")
     return 0
 
 
 def _cmd_sequence(args) -> int:
     values = getattr(dp, SEQUENCE_TARGETS[args.target])(args.rows, args.max_n)
-    str(max(values))  # past the int->str digit limit: fail before any write
+    _decimal(max(values))  # past the digit limit: fail before any write
     head = f'  "target": "{args.target}",\n  "rows": {args.rows},\n'
     line = "{0[0]},{0[1]}\n" if args.format == "csv" else "{0[1]}\n"
     _write_list(args.format, enumerate(values, start=1), head, "values",
@@ -213,6 +222,21 @@ def _render_verify_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _render_verify_json(reports, all_ok: bool) -> str:
+    """Every report field as json; big counts appear as decimal strings."""
+    entries = []
+    for rep in reports:
+        spec, ce = rep.spec, rep.first_counterexample
+        if ce is not None:
+            ce = {"params": dict(ce.params), "lhs": str(ce.lhs), "rhs": str(ce.rhs)}
+        entries.append({"identity": spec.identity, "expected": spec.expected,
+                        "domain": dict(spec.domain), "cases_checked": rep.cases_checked,
+                        "failures": rep.failures, "first_counterexample": ce,
+                        "verdict": rep.verdict})
+    payload = {"reports": entries, "all_as_expected": all_ok}
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def _cmd_verify(args) -> int:
     caps = {axis: getattr(args, f"max_{axis}") for axis in verify.CAP_AXES}
     overrides = {axis: cap for axis, cap in caps.items() if cap is not None}
@@ -222,7 +246,7 @@ def _cmd_verify(args) -> int:
         specs = [verify.default_spec(args.identity, overrides)]
     reports, all_ok = verify.run_suite(specs)
     if args.format == "json":
-        sys.stdout.write(verify.reports_to_json(reports) + "\n")
+        sys.stdout.write(_render_verify_json(reports, all_ok))
     elif args.format == "csv":
         sys.stdout.write(_render_verify_csv(reports))
     else:

@@ -149,8 +149,5 @@ class CountMatrix:
             return NotImplemented
         return self.dims == other.dims and self._cols == other._cols
 
-    def __hash__(self) -> int:
-        return hash((self.dims, self._cols))
-
     def __repr__(self) -> str:
         return f"CountMatrix({self.dims.rows}x{self.dims.cols})"

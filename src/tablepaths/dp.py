@@ -106,10 +106,10 @@ def build(family: str, rows: int, cols: int, *start: int) -> CountMatrix:
     The builder is looked up at call time, so a patched one sees every build."""
     if family not in _FAMILIES:
         raise ValueError(f"unknown table family {family!r}")
-    make = globals()[family]
+    make, dims = globals()[family], TableDims(rows, cols)  # dims checked first
     if family == "a_table" and cols != rows:
         raise ValueError("kind 'a' is a square family; use --rows == --cols")
-    return make(rows) if family == "a_table" else make(TableDims(rows, cols), *start)
+    return make(rows) if family == "a_table" else make(dims, *start)
 
 
 # The one memo, keyed on ``build``'s arguments: 128 tables hold an identity

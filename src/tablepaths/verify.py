@@ -3,7 +3,8 @@
 Sweeps parameter grids, evaluates one counting identity per grid point
 with the column-marching engine on the reference side (lhs) and the
 closed form under test on the other (rhs), and reports exact-equality
-results with the first counterexample in grid order.
+results with the first counterexample in grid order.  It only computes:
+specs in, reports and calibration results out; the CLI renders reports.
 
 Each identity is one ``_REGISTRY`` row, walked alike by the suite and
 by calibration: its axes in grid order, with bounds that may depend on
@@ -25,7 +26,6 @@ integer equality; there are no tolerances anywhere.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import inf
 from operator import ne
@@ -68,20 +68,6 @@ class IdentityReport:
     failures: int
     first_counterexample: Optional[Counterexample]
     verdict: str
-
-    def to_dict(self) -> dict:
-        ce = self.first_counterexample
-        if ce is not None:
-            ce = {"params": dict(ce.params), "lhs": str(ce.lhs), "rhs": str(ce.rhs)}
-        return {
-            "identity": self.spec.identity,
-            "expected": self.spec.expected,
-            "domain": dict(self.spec.domain),
-            "cases_checked": self.cases_checked,
-            "failures": self.failures,
-            "first_counterexample": ce,
-            "verdict": self.verdict,
-        }
 
 
 def _rows(column: tuple, line: range) -> tuple:  # bottom row first
@@ -303,15 +289,6 @@ def run_suite(specs: list[IdentitySpec]) -> tuple[list[IdentityReport], bool]:
     return reports, all(verdict_as_expected(r) for r in reports)
 
 
-def reports_to_json(reports: list[IdentityReport]) -> str:
-    """Deterministic serialization; big counts appear as decimal strings."""
-    payload = {
-        "reports": [r.to_dict() for r in reports],
-        "all_as_expected": all(verdict_as_expected(r) for r in reports),
-    }
-    return json.dumps(payload, indent=2)
-
-
 @dataclass(frozen=True)
 class CalibrationResult:
     """Outcome of probing an identity beyond its declared domain.
@@ -328,9 +305,6 @@ class CalibrationResult:
     searched: tuple[tuple[str, tuple[int, int]], ...]
     axis_box: tuple[tuple[str, tuple[int, int]], ...]
     profile: tuple[tuple[int, int], ...]
-
-    def profile_dict(self) -> dict[int, int]:
-        return dict(self.profile)
 
 
 def calibrate_domain(

@@ -306,7 +306,7 @@ def test_criterion_6_errata_and_calibration():
 
     # Calibration re-derives the declared window m <= n <= 2m: every
     # point of it passes (the probe also shows one column of slack).
-    profile = calibrate_domain("H-SQUARE").profile_dict()
+    profile = dict(calibrate_domain("H-SQUARE").profile)
     for m in range(1, 6):
         assert profile[m] >= 2 * m
     rep = run_identity(default_spec("H-SQUARE"))

@@ -198,9 +198,15 @@ def test_a_kind_requires_square(capsys):
 
 
 def test_table_dims_are_checked_before_the_square_rule(capsys):
-    code, out, err = run_cli(capsys, "table", "--kind", "a", "-m", "0", "-n", "1")
-    assert (code, out) == (1, "")
-    assert err == "error: table dimensions must be positive, got 0x1\n"
+    square = "kind 'a' is a square family; use --rows == --cols"
+    for rows, cols, msg in [(0, 1, "table dimensions must be positive, got 0x1"),
+                            (0, 5, "table dimensions must be positive, got 0x5"),
+                            (3, 0, "table dimensions must be positive, got 3x0"),
+                            (3, 5, square)]:
+        code, out, err = run_cli(capsys, "table", "--kind", "a", "-m", str(rows),
+                                 "-n", str(cols))
+        assert (code, out, err) == (1, "", f"error: {msg}\n")
+    assert run_cli(capsys, "table", "--kind", "a", "-m", "4", "-n", "4")[::2] == (0, "")
 
 
 def test_every_table_kind_is_built_by_dp_build_outside_the_memo(capsys, monkeypatch):
@@ -667,7 +673,7 @@ def test_over_digit_limit_table_exits_one_with_empty_stdout(capsys):
         sys.set_int_max_str_digits(old)
 
 
-@pytest.mark.parametrize("fmt", ["plain", "csv", "json", "markdown"])
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
 def test_over_digit_limit_sequence_exits_one_with_empty_stdout(capsys, fmt):
     # The D1 bottom row at height 4 passes 640 digits long before n = 4000.
     old = sys.get_int_max_str_digits()
@@ -679,6 +685,29 @@ def test_over_digit_limit_sequence_exits_one_with_empty_stdout(capsys, fmt):
         sys.set_int_max_str_digits(old)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    # Two rows from row 1: the value at column n is 2^(n-2), 662 digits
+    # at n = 2200.
+    ["count", "-m", "2", "-n", "2200", "--from-col", "1", "--from-row", "1",
+     "--to-col", "2200", "--to-row", "1"],
+    ["table", "--kind", "d1", "-m", "2", "-n", "2200", "--format", "csv"],
+    ["sequence", "--target", "d1-bottom-row", "-m", "2", "--max-n", "2200"],
+], ids=["count", "table", "sequence"])
+def test_digit_limit_refusal_is_the_clis_own_message(capsys, command):
+    # The message names the limit in the same words on every interpreter,
+    # rather than passing on CPython's own text.
+    limit = sys.int_info.str_digits_check_threshold
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        code, out, err = run_cli(capsys, *command)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert (code, out) == (1, "")
+    assert err == (f"error: a value has more than {limit} decimal digits, "
+                   "past the int->str conversion limit\n")
 
 
 def test_footer_misuse_is_rejected_before_the_table_is_built(capsys, monkeypatch):

@@ -336,6 +336,10 @@ def test_build_rejects_a_non_square_a_table():
             )
     assert dp.cached.cache_info().currsize == 0
     assert dp.build("a_table", 3, 3) == a_table(3)
+    # Bad dims are reported before the square rule.
+    with pytest.raises(ValueError) as err:
+        dp.build("a_table", 0, 5)
+    assert str(err.value) == "table dimensions must be positive, got 0x5"
 
 
 @pytest.mark.parametrize("family", ["imn", "bogus", "hss_values", "build", "_advance3"])

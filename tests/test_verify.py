@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from tablepaths import dp, formulas
+from tablepaths.cli import _render_verify_json
 from tablepaths.core import TableDims
 from tablepaths.verify import (
     CAP_AXES,
@@ -11,7 +12,6 @@ from tablepaths.verify import (
     calibrate_domain,
     default_spec,
     default_suite,
-    reports_to_json,
     run_identity,
     run_suite,
     verdict_as_expected,
@@ -51,15 +51,15 @@ def test_unknown_identity_rejected():
         default_spec("NOPE")
 
 
-def _json_digest(reports) -> str:
-    # sha256 of `verify --format json` stdout: the json plus a newline.
-    return hashlib.sha256((reports_to_json(reports) + "\n").encode()).hexdigest()
+def _json_digest(reports, all_ok) -> str:
+    # sha256 of `verify --format json` stdout.
+    return hashlib.sha256(_render_verify_json(reports, all_ok).encode()).hexdigest()
 
 
 def test_default_suite_partition():
     reports, all_ok = run_suite(default_suite())
     assert all_ok
-    assert _json_digest(reports) == (
+    assert _json_digest(reports, all_ok) == (
         "81dcfc3ee5bb4752d103a93d4b366aea2e1c4f1683b4cceaa706ea55071e71b6"
     )
     by_id = {r.spec.identity: r for r in reports}
@@ -276,22 +276,22 @@ def test_doubled_grid_suite():
         "D-BOUNDARY-PRINTED": 18773,
         "S-FREE-PRINTED": 436,
     }
-    assert _json_digest(reports) == (
+    assert _json_digest(reports, all_ok) == (
         "4f324ff307ae7eace21acaddfa474788f481cb58bac8066f122b87567a5b5fba"
     )
 
 
 def test_reports_serialize_deterministically():
     specs = [default_spec("S-FREE", {"y": 6}), default_spec("S-FREE-PRINTED", {"y": 6})]
-    first = reports_to_json(run_suite(specs)[0])
-    second = reports_to_json(run_suite(specs)[0])
+    first = _render_verify_json(*run_suite(specs))
+    second = _render_verify_json(*run_suite(specs))
     assert first == second
     assert '"lhs": "1"' in first  # counts serialized as decimal strings
 
 
 def test_calibrate_h_square_profile():
     result = calibrate_domain("H-SQUARE")
-    profile = result.profile_dict()
+    profile = dict(result.profile)
     # The declared window n <= 2m passes everywhere; the probe finds one
     # extra column of slack beyond it.
     for m in range(1, 6):
@@ -302,22 +302,22 @@ def test_calibrate_h_square_profile():
 
 def test_calibrate_s2_full_box():
     result = calibrate_domain("S2")
-    assert result.profile_dict() == {1: 8, 2: 8, 3: 8, 4: 8}
+    assert dict(result.profile) == {1: 8, 2: 8, 3: 8, 4: 8}
     for m in range(1, 5):
-        assert result.profile_dict()[m] >= m + 1
+        assert dict(result.profile)[m] >= m + 1
     assert result.axis_box == result.searched
 
 
 def test_calibrate_d_boundary_full_box():
     result = calibrate_domain("D-BOUNDARY")
     assert result.axis_box == result.searched
-    assert result.profile_dict() == {m: 12 for m in range(1, 7)}
+    assert dict(result.profile) == {m: 12 for m in range(1, 7)}
 
 
 def test_calibrate_d_boundary_printed_collapses():
     result = calibrate_domain("D-BOUNDARY-PRINTED")
     assert dict(result.axis_box)["n"] == (1, 1)
-    assert result.profile_dict() == {m: 1 for m in range(1, 7)}
+    assert dict(result.profile) == {m: 1 for m in range(1, 7)}
 
 
 def test_calibrate_unknown_identity_rejected():
@@ -327,11 +327,11 @@ def test_calibrate_unknown_identity_rejected():
 
 def test_calibrate_respects_overrides():
     result = calibrate_domain("H-SQUARE", {"m": 3, "n": 6})
-    assert result.profile_dict() == {1: 3, 2: 5, 3: 6}
+    assert dict(result.profile) == {1: 3, 2: 5, 3: 6}
     # An empty n range passes up to n = 0, however far below 1 the cap is.
     for cap in (0, -3):
         result = calibrate_domain("H-SQUARE", {"m": 2, "n": cap})
-        assert result.profile_dict() == {1: 0, 2: 0}
+        assert dict(result.profile) == {1: 0, 2: 0}
         assert dict(result.axis_box)["n"] == (1, cap)
     # The profile scans the axes outside it (s, t) over their declared
     # ranges, so a cap on s does not hide the failures at larger s.
@@ -344,4 +344,4 @@ def test_calibrate_respects_overrides():
     ]:
         result = calibrate_domain(identity, overrides)
         assert dict(result.axis_box)["n"] == n_box, (identity, overrides)
-        assert result.profile_dict() == profile, (identity, overrides)
+        assert dict(result.profile) == profile, (identity, overrides)
