@@ -44,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# Table rendering and parsing
+# Table rendering
 # ---------------------------------------------------------------------------
 
 
@@ -95,24 +95,6 @@ def render_table_csv(out: TextIO, matrix: CountMatrix) -> None:
         out.write("".join(map(f"{s},{{}},{{}}\n".format, rows, col)))
 
 
-def _parsed_table(dims: TableDims, entries: Iterable[Sequence]) -> CountMatrix:
-    """The table whose (s, t, value) entries name each cell of ``dims``
-    exactly once; anything else raises a one-line ValueError."""
-    entries = sorted(entries)  # column-major, like the cells below
-    cells = [(s, t) for s in range(1, dims.cols + 1) for t in range(1, dims.rows + 1)]
-    if [(s, t) for s, t, _ in entries] != cells:
-        raise ValueError(f"entries must name each cell of {dims.rows}x{dims.cols} once")
-    ints = iter([int(str(v)) for _, _, v in entries])  # so 1.5 fails, not rounds
-    return CountMatrix(dims, [list(islice(ints, dims.rows)) for _ in range(dims.cols)])
-
-
-def parse_table_csv(text: str) -> CountMatrix:
-    rows = [line.split(",") for line in text.strip().splitlines()[1:]]
-    entries = [(int(s), int(t), v) for s, t, v in rows]
-    cols, height, _ = max(entries, default=(0, 0, ""))  # the corner (cols, rows)
-    return _parsed_table(TableDims(height, cols), entries)
-
-
 def render_table_json(out: TextIO, matrix: CountMatrix, kind: str) -> None:
     dims = matrix.dims
     head = (f'  "dims": {{\n    "rows": {dims.rows},\n    "cols": {dims.cols}\n'
@@ -122,15 +104,6 @@ def render_table_json(out: TextIO, matrix: CountMatrix, kind: str) -> None:
                    for t, v in enumerate(col, start=1))
         for s, col in enumerate(matrix.columns(), start=1)
     ))
-
-
-def parse_table_json(text: str) -> CountMatrix:
-    payload = json.loads(text)
-    try:
-        dims = TableDims(payload["dims"]["rows"], payload["dims"]["cols"])
-        return _parsed_table(dims, payload["entries"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"not a table json document ({exc!r})") from None
 
 
 def render_table_markdown(
@@ -287,6 +260,9 @@ def _cmd_words(args) -> int:
     start = args.start
     if start is None and (floor is None or ceiling is None):
         start = 1  # unbounded enumerations need an anchor row
+        if (floor is not None and floor > 1) or (ceiling is not None and ceiling < 1):
+            raise UsageError("row 1, the default --start, lies outside "
+                             "--floor/--ceiling")
     filt = oracle.WordFilter(
         alphabet=args.alphabet,
         start_row=start,

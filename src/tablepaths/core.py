@@ -100,7 +100,7 @@ def row_trace(word: LatticeWord) -> tuple[int, ...]:
 
 
 class CountMatrix:
-    """Immutable (col, row)-indexed matrix of nonnegative counts.
+    """Immutable (col, row)-indexed matrix of nonnegative ``int`` counts.
 
     Indexing is 1-based: ``get(s, t)`` is the value at column s, row t.
     The matrix is fully populated over its declared rectangle.
@@ -109,13 +109,12 @@ class CountMatrix:
     __slots__ = ("dims", "_cols")
 
     def __init__(self, dims: TableDims, columns: Sequence[Sequence[int]]):
-        # Each check is one pass in C; int() runs only when some value
-        # is not already an int (a bool, a digit string, ...).
+        # Each check is one pass in C.
         cols = tuple(map(tuple, columns))
         if len(cols) != dims.cols or set(map(len, cols)) != {dims.rows}:
             raise ValueError("column data does not match declared dims")
         if set(map(type, chain.from_iterable(cols))) != {int}:
-            cols = tuple(tuple(map(int, col)) for col in cols)
+            raise ValueError("counts must be ints")
         if min(map(min, cols)) < 0:
             raise ValueError("counts must be nonnegative")
         self.dims = dims

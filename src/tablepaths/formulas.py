@@ -185,6 +185,18 @@ def i_inner(dims: TableDims, a: int) -> int:
     )
 
 
+def _s_free(x: int, y: int, pinned: bool) -> int:
+    if y < 0:
+        raise ValueError("y must be nonnegative")
+    x = abs(x)
+    if x > y:
+        return 0
+    return sum(
+        binomial(y, x + (1 if pinned else i)) * binomial(y - x - i, i)
+        for i in range((y - x) // 2 + 1)
+    )
+
+
 def s_free_closed(x: int, y: int) -> int:
     """Unbounded net-rise count: number of y-step words with net rise x.
 
@@ -192,15 +204,7 @@ def s_free_closed(x: int, y: int) -> int:
     multinomial split into |x|+i up steps, i down steps and the rest
     flat; symmetric in the sign of x.
     """
-    if y < 0:
-        raise ValueError("y must be nonnegative")
-    x = abs(x)
-    if x > y:
-        return 0
-    return sum(
-        binomial(y, x + i) * binomial(y - x - i, i)
-        for i in range((y - x) // 2 + 1)
-    )
+    return _s_free(x, y, pinned=False)
 
 
 def s_free_printed(x: int, y: int) -> int:
@@ -210,15 +214,7 @@ def s_free_printed(x: int, y: int) -> int:
     Wrong whenever a term with i != 1 contributes; retained so the
     verifier can document the failure.
     """
-    if y < 0:
-        raise ValueError("y must be nonnegative")
-    x = abs(x)
-    if x > y:
-        return 0
-    return sum(
-        binomial(y, x + 1) * binomial(y - x - i, i)
-        for i in range((y - x) // 2 + 1)
-    )
+    return _s_free(x, y, pinned=True)
 
 
 def _s2_value(dims: TableDims, start: Cell, end: Cell) -> int:

@@ -69,16 +69,9 @@ class WordFilter:
         dims: TableDims,
         start_row: Optional[int] = None,
         end_row: Optional[int] = None,
-        alphabet: str = LETTERS,
     ) -> "WordFilter":
         """Confine every visited row to [1, dims.rows]."""
-        return cls(
-            alphabet=alphabet,
-            start_row=start_row,
-            floor=1,
-            ceiling=dims.rows,
-            end_row=end_row,
-        )
+        return cls(start_row=start_row, floor=1, ceiling=dims.rows, end_row=end_row)
 
 
 def _search(
@@ -150,7 +143,7 @@ def _search(
 
 
 def enumerate_words(
-    length: int, filt: WordFilter = WordFilter(), cap: int = DEFAULT_CAP
+    length: int, filt: WordFilter, cap: int = DEFAULT_CAP
 ) -> Iterator[LatticeWord]:
     """Yield every word of the given length satisfying the filter, in
     lexicographic order with u < r < d and start rows ascending."""

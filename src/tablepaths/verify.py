@@ -26,7 +26,6 @@ integer equality; there are no tolerances anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf
 from operator import ne
 from typing import Callable, Mapping, NamedTuple, Optional
@@ -43,8 +42,7 @@ CAP_AXES = ("m", "n", "s", "y", "k")  # every default-domain axis, CLI order
 _FORMULAS = vars(formulas)  # read by name at every point, so patches apply
 
 
-@dataclass(frozen=True)
-class IdentitySpec:
+class IdentitySpec(NamedTuple):
     """One identity plus the grid it is checked on: ``domain`` holds
     (axis, inclusive upper bound) pairs; lower bounds and dependent
     ranges are fixed by the identity itself."""
@@ -54,15 +52,13 @@ class IdentitySpec:
     expected: str  # PASS or DOCUMENTED-FAILURE
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     params: tuple[tuple[str, int], ...]
     lhs: int  # reference side (engine)
     rhs: int  # formula side
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     spec: IdentitySpec
     cases_checked: int
     failures: int
@@ -289,8 +285,7 @@ def run_suite(specs: list[IdentitySpec]) -> tuple[list[IdentityReport], bool]:
     return reports, all(verdict_as_expected(r) for r in reports)
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
+class CalibrationResult(NamedTuple):
     """Outcome of probing an identity beyond its declared domain.
 
     ``axis_box`` is the greedy axis-aligned zero-failure sub-box of the

@@ -64,10 +64,13 @@ def _cli_csv_cells(capsys, kind, rows, cols):
         ["table", "--kind", kind, "-m", str(rows), "-n", str(cols),
          "--format", "csv"]
     )
-    out = capsys.readouterr().out
-    assert code == 0
-    matrix = cli.parse_table_csv(out)
-    return {(s, t): v for s, t, v in matrix.entries()}
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert (code, header) == (0, "s,t,value")
+    entries = [tuple(map(int, line.split(","))) for line in lines]
+    # Every cell once, column-major: a missing or repeated cell fails.
+    grid = [(s, t) for s in range(1, cols + 1) for t in range(1, rows + 1)]
+    assert [(s, t) for s, t, _ in entries] == grid
+    return {(s, t): v for s, t, v in entries}
 
 
 # -- criterion 1: 8x8 golden tables ---------------------------------------

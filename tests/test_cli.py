@@ -63,6 +63,13 @@ def test_table_csv_golden_line(capsys):
     assert "8,2,14" in lines
 
 
+def _csv_entries(out):
+    """(s, t, value) for each printed line under the header, in print order."""
+    header, *lines = out.splitlines()
+    assert header == "s,t,value"
+    return [tuple(map(int, line.split(","))) for line in lines]
+
+
 def test_table_csv_round_trip(capsys):
     for kind, build in [
         ("d1", lambda: di_table(TableDims(5, 10), 1)),
@@ -75,7 +82,8 @@ def test_table_csv_round_trip(capsys):
             "-m", str(dims.rows), "-n", str(dims.cols), "--format", "csv",
         )
         assert code == 0
-        assert cli.parse_table_csv(out) == build()
+        # Every cell once, column-major: a missing, repeated or wrong cell fails.
+        assert _csv_entries(out) == list(build().entries())
 
 
 def test_table_json_round_trip(capsys):
@@ -86,58 +94,8 @@ def test_table_json_round_trip(capsys):
     payload = json.loads(out)
     assert payload["kind"] == "a"
     assert payload["dims"] == {"rows": 6, "cols": 6}
-    assert all(isinstance(v, str) for _, _, v in payload["entries"])
-    assert cli.parse_table_json(out) == a_table(6)
-
-
-def _json_table(rows, cols, entries):
-    return json.dumps({"dims": {"rows": rows, "cols": cols}, "kind": "d",
-                       "entries": entries})
-
-
-MALFORMED_JSON = {
-    "s=0": _json_table(1, 2, [[1, 1, "1"], [0, 1, "1"]]),
-    "t=0": _json_table(2, 1, [[1, 1, "1"], [1, 0, "1"]]),
-    "missing": _json_table(1, 2, [[1, 1, "1"]]),
-    "duplicate": _json_table(1, 2, [[1, 1, "1"], [2, 1, "1"], [2, 1, "2"]]),
-    "outside": _json_table(1, 1, [[1, 1, "1"], [2, 1, "1"]]),
-    "short-entry": _json_table(1, 1, [[1, 1]]),
-    "fractional-index": _json_table(1, 1, [[1.5, 1, "1"]]),
-    "fractional-value": _json_table(1, 1, [[1, 1, 1.5]]),
-    "bad-value": _json_table(1, 1, [[1, 1, "x"]]),
-    "negative": _json_table(1, 1, [[1, 1, "-1"]]),
-    "zero-rows": _json_table(0, 1, []),
-    "string-dims": _json_table("1", 1, [[1, 1, "1"]]),
-    "entries-not-list": _json_table(1, 1, 5),
-    "no-dims": '{"entries": []}',
-    "list": "[]",
-    "string": '"table"',
-    "number": "3",
-    "truncated": "{",
-}
-MALFORMED_CSV = {
-    "missing": "s,t,value\n1,1,1\n2,2,1\n",
-    "s=0": "s,t,value\n1,1,1\n0,1,1\n",
-    "t=0": "s,t,value\n1,1,1\n1,0,1\n",
-    "duplicate": "s,t,value\n1,1,1\n1,1,2\n",
-    "short-row": "s,t,value\n1,1\n",
-    "bad-value": "s,t,value\n1,1,x\n",
-    "no-cells": "s,t,value\n",
-    "no-header": "1,1,1\n2,1,1\n",
-    "empty": "",
-}
-
-
-@pytest.mark.parametrize("parse,text", [
-    *(pytest.param(cli.parse_table_json, t, id=f"json-{k}")
-      for k, t in MALFORMED_JSON.items()),
-    *(pytest.param(cli.parse_table_csv, t, id=f"csv-{k}")
-      for k, t in MALFORMED_CSV.items()),
-])
-def test_table_parsers_reject_malformed_input(parse, text):
-    with pytest.raises(ValueError) as info:
-        parse(text)
-    assert "\n" not in str(info.value)
+    want = [[s, t, str(v)] for s, t, v in a_table(6).entries()]
+    assert payload["entries"] == want
 
 
 def test_table_json_single_entry(capsys):
@@ -406,7 +364,11 @@ def test_words_deep_word_prints_without_recursion_error(capsys):
     (("--length", "2", "-n", "5", "--start", "1"), "--length conflicts with --cols"),
     (("-m", "3", "--floor", "1", "--length", "2"),
      "--rows conflicts with --floor/--ceiling"),
-], ids=["length-cols", "rows-floor"])
+    (("--length", "2", "--floor", "3"),
+     "row 1, the default --start, lies outside --floor/--ceiling"),
+    (("--length", "2", "--ceiling", "0", "--format", "json"),
+     "row 1, the default --start, lies outside --floor/--ceiling"),
+], ids=["length-cols", "rows-floor", "floor-above-row-1", "ceiling-below-row-1"])
 def test_words_conflicting_options_exit_one(capsys, argv, message):
     code, out, err = run_cli(capsys, "words", *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")

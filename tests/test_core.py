@@ -129,13 +129,14 @@ def test_count_matrix_checks_every_column():
         CountMatrix(dims, [[1, 2], [3, 4], [5, "x"]])
 
 
-def test_count_matrix_converts_to_int():
-    dims = TableDims(2, 2)
-    m = CountMatrix(dims, [(True, False), iter(["5", 7])])
-    assert m == CountMatrix(dims, [[1, 0], [5, 7]])
-    assert all(type(v) is int for _, _, v in m.entries())
-    with pytest.raises(ValueError, match="nonnegative"):
-        CountMatrix(dims, [[1, 2], ["-3", 4]])
+def test_count_matrix_rejects_counts_that_are_not_ints():
+    for value in ("5", True, 1.0, "-3"):
+        for dims, columns in ((TableDims(1, 1), [[value]]),
+                              (TableDims(2, 2), [(7, 0), iter([value, 7])])):
+            with pytest.raises(ValueError, match="^counts must be ints$"):
+                CountMatrix(dims, columns)
+    m = CountMatrix(TableDims(2, 2), [(1, 0), iter([5, 7])])  # any iterables
+    assert m.columns() == ((1, 0), (5, 7))
 
 
 @pytest.mark.parametrize(

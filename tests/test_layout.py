@@ -1,5 +1,6 @@
 """Stdlib-only lint of the package source: no unused imports, no long
-lines, and no module import outside its pinned place in the import graph."""
+lines, no module import outside its pinned place in the import graph,
+and no public function or class that nothing reads."""
 
 import ast
 from pathlib import Path
@@ -75,3 +76,45 @@ def _package_imports(tree: ast.Module) -> set[str]:
 def test_import_graph_is_pinned():
     graph = {p.stem: _package_imports(ast.parse(p.read_text())) for p in MODULES}
     assert graph == IMPORT_GRAPH
+
+
+# Public names no source module reads: the engine's and the oracle's
+# counts that the tests and the benchmark compare, and the documented
+# calibration that the acceptance tests drive.
+UNCALLED_API = {
+    "dp.imn",
+    "oracle.brute_pair_count",
+    "oracle.brute_imn",
+    "oracle.brute_free",
+    "verify.calibrate_domain",
+}
+
+
+def _references(node: ast.AST) -> set[str]:
+    """Names a subtree reads: bare names, attributes and exact strings
+    (``dp.build`` and the verify registry look functions up by name)."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.add(sub.value)
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    """Each top-level public function and class is read by some source
+    module outside its own definition, or is pinned in UNCALLED_API."""
+    defined, read = [], set()
+    for path in MODULES:
+        for stmt in ast.parse(path.read_text()).body:
+            refs = _references(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                refs.discard(stmt.name)
+                if not stmt.name.startswith("_"):
+                    defined.append((path.stem, stmt.name))
+            read |= refs
+    uncalled = {f"{module}.{name}" for module, name in defined if name not in read}
+    assert uncalled == UNCALLED_API
