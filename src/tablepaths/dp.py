@@ -12,6 +12,11 @@ shared by the verifier's engine side and the closed forms, wraps it.
 
 Confinement is enforced by clipping the stencil at the vector ends; the
 virtual rows 0 and rows+1 are never stored.
+
+A pair count reflects instead: ``bounded_pair_count`` cuts the strip to
+the rows its walk can reach, and reflection in the walls makes its count
+a difference of two walk counts on the cycle Z/(2m + 2), which
+``_cycle_walks`` gets by splitting each walk at its middle column.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache
 from itertools import accumulate
+from operator import mul
 from typing import Iterable, Iterator
 
 from .core import Cell, CountMatrix, TableDims, check_pair
@@ -39,6 +45,13 @@ def _advance_ud(col: list[int]) -> list[int]:
     return [
         (col[t - 1] if t > 0 else 0) + (col[t + 1] if t + 1 < n else 0)
         for t in range(n)
+    ]
+
+
+def _advance_cycle(col: list[int]) -> list[int]:
+    """One step on the cycle Z/n of a column symmetric about 0: entries 0..n/2."""
+    return [
+        a + b + c for a, b, c in zip(col[1:2] + col[:-1], col, col[1:] + col[-2:-1])
     ]
 
 
@@ -129,11 +142,29 @@ def hss_values(d1: CountMatrix) -> list[int]:
     return [sum(col[:min(s, rows)]) for s, col in enumerate(d1.columns(), start=1)]
 
 
+def _cycle_walks(n: int, steps: int, ends: Iterable[int]) -> list[int]:
+    """Walks of ``steps`` steps from 0 to each of ``ends`` on the cycle Z/n,
+    n even: those of the first ``steps // 2`` steps (``half``, recursing from
+    n^2 on) convolved with the rest.  A column keeps only its entries 0..n/2,
+    as walks to j and to -j are equal in number."""
+    h = steps // 2
+    half = (_cycle_walks(n, h, range(n // 2 + 1)) if h >= n * n
+            else _last(_march(_unit_column(n // 2 + 1, 1), h + 1, _advance_cycle)))
+    other = _advance_cycle(half) if steps % 2 else half
+    half, other = half + half[-2:0:-1], other + other[-2:0:-1]
+    return [sum(map(mul, half, other[e::-1] + other[:e:-1])) for e in ends]
+
+
 def bounded_pair_count(dims: TableDims, start: Cell, end: Cell) -> int:
     """Number of confined paths between two cells of the table."""
     check_pair(dims, start, end)
-    col = _unit_column(dims.rows, start.row)
-    return _last(_march(col, end.col - start.col + 1))[end.row - 1]
+    steps = end.col - start.col
+    low, high = max(1, start.row - steps), min(dims.rows, start.row + steps)
+    if not low <= end.row <= high:  # the strip is cut to the rows in reach
+        return 0
+    r0, r1 = start.row - low + 1, end.row - low + 1
+    up, across = _cycle_walks(2 * (high - low + 2), steps, (abs(r1 - r0), r1 + r0))
+    return up - across
 
 
 def imn(dims: TableDims) -> int:
@@ -157,15 +188,9 @@ def d1_bottom_row(rows: int, max_cols: int) -> list[int]:
 
 def free_count(net: int, steps: int) -> int:
     """Number of step words of the given length with a fixed net rise,
-    with no walls.
-
-    Runs the same confined march over a window of rows [-steps, steps]
-    around the start, which no walk of that length can leave, so its
-    walls never bind.
-    """
+    with no walls: walks on a cycle too long for them to wrap around."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if abs(net) > steps:
         return 0
-    col = _unit_column(2 * steps + 1, steps + 1)
-    return _last(_march(col, steps + 1))[steps + net]
+    return _cycle_walks(2 * steps + 2, steps, (abs(net),))[0]

@@ -389,6 +389,25 @@ def test_module_invocation_subprocess():
     assert proc.stdout == "2\n"
 
 
+def test_count_at_a_huge_height_stays_small():
+    # The strip is cut to the rows a one-step walk reaches, so a height of
+    # 10^10 needs no more memory than a height of 2.
+    resource = pytest.importorskip("resource")
+    gigabyte = 1 << 30
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (gigabyte, gigabyte))
+
+    argv = ["count", "-m", "10000000000", "-n", "2", "--from-col", "1",
+            "--from-row", "1", "--to-col", "2", "--to-row", "2"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "tablepaths", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=limit_memory,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
+
 def test_package_root_loads_no_module_and_script_entry_runs():
     # The package root exports only __version__; cli.main is the
     # [project.scripts] entry point, run here as the installed script does.

@@ -146,6 +146,51 @@ def test_bounded_pair_count_matches_di_table_from_column_one():
                 )
 
 
+def test_bounded_pair_count_short_spans():
+    for m in range(1, 7):
+        dims = TableDims(m, 2)
+        for r0 in range(1, m + 1):
+            for r1 in range(1, m + 1):
+                stay = bounded_pair_count(dims, Cell(1, r0), Cell(1, r1))
+                step = bounded_pair_count(dims, Cell(1, r0), Cell(2, r1))
+                assert (stay, step) == (int(r0 == r1), int(abs(r0 - r1) <= 1))
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_bounded_pair_count_at_the_split_threshold(m):
+    # Half-lengths n^2 - 1 (marched) and n^2 (split again), odd and even
+    # spans, from and to both walls; the cycle has n = 2(m + 1) rows.
+    n = 2 * (m + 1)
+    for steps in (2 * n * n - 2, 2 * n * n - 1, 2 * n * n, 2 * n * n + 1):
+        dims = TableDims(m, steps + 1)
+        for r0 in {1, m}:
+            column = di_table(dims, r0).columns()[steps]
+            for r1 in {1, m}:
+                got = bounded_pair_count(dims, Cell(1, r0), Cell(steps + 1, r1))
+                assert got == column[r1 - 1], (steps, r0, r1)
+
+
+def test_bounded_pair_count_cuts_a_tall_strip_to_reachable_rows():
+    m = 300
+    for r0 in (1, 150, 300):
+        table = di_table(TableDims(m, 21), r0)
+        for steps in range(21):
+            dims = TableDims(m, steps + 1)
+            ends = range(max(1, r0 - steps - 2), min(m, r0 + steps + 2) + 1)
+            for r1 in {1, m, *ends}:
+                got = bounded_pair_count(dims, Cell(1, r0), Cell(steps + 1, r1))
+                assert got == table.get(steps + 1, r1), (r0, steps, r1)
+
+
+def test_bounded_pair_count_at_a_huge_height():
+    dims = TableDims(10**10, 3)
+    assert bounded_pair_count(dims, Cell(1, 1), Cell(2, 2)) == 1
+    assert bounded_pair_count(dims, Cell(1, 1), Cell(3, 1)) == 2
+    assert bounded_pair_count(dims, Cell(1, 1), Cell(3, 5)) == 0
+    assert bounded_pair_count(dims, Cell(1, 10**10), Cell(3, 10**10)) == 2
+    assert bounded_pair_count(dims, Cell(1, 5 * 10**9), Cell(3, 5 * 10**9)) == 3
+
+
 def test_imn_examples():
     assert imn(TableDims(2, 3)) == 8
     assert imn(TableDims(1, 9)) == 1
@@ -199,6 +244,17 @@ def test_free_count_conservation():
     # Every word of length y lands somewhere: the counts sum to 3^y.
     for y in range(13):
         assert sum(free_count(x, y) for x in range(-y, y + 1)) == 3**y
+
+
+def test_free_count_is_a_trinomial_coefficient():
+    # free_count(x, y) is the coefficient of z^(y + x) in (1 + z + z^2)^y.
+    row = [1]
+    for y in range(60):
+        for x in range(-y - 2, y + 3):
+            want = row[y + x] if abs(x) <= y else 0
+            assert free_count(x, y) == want, (x, y)
+        row = [a + b + c for a, b, c in zip([0, 0] + row, [0] + row + [0],
+                                            row + [0, 0])]
 
 
 def test_free_count_sign_symmetry():

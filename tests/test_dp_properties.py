@@ -121,3 +121,13 @@ def test_table_output_parses_back_to_the_built_table(kind, rows, cols):
                              "-n", str(cols), "--format", fmt])
         assert code == 0
         assert read(out.getvalue()) == want, fmt
+
+
+@settings(FIXED, max_examples=150)
+@given(st.integers(1, 5), st.integers(0, 700), st.data())
+def test_pair_count_equals_the_start_row_table(rows, steps, data):
+    # Spans up to 700 reach two levels of splitting at every height 1..5.
+    r0, r1 = (data.draw(st.integers(1, rows)) for _ in range(2))
+    dims = TableDims(rows, steps + 1)
+    want = dp.di_table(dims, r0).get(steps + 1, r1)
+    assert dp.bounded_pair_count(dims, Cell(1, r0), Cell(steps + 1, r1)) == want
