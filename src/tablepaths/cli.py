@@ -8,9 +8,10 @@ targets name ``dp`` functions.  Every table is built by ``dp.build``, not
 through its memo ``dp.cached``, so no big table outlives its request.
 
 Exit codes: 0 success, 1 usage or resource error (a value past the
-int->str digit limit included), 2 verification mismatch.  All values are
-printed as decimal strings; tables print with the row index decreasing
-downward so they can be compared against printed references directly.
+int->str digit limit and a size too large to allocate included), 2
+verification mismatch.  All values are printed as decimal strings;
+tables print with the row index decreasing downward so they can be
+compared against printed references directly.
 """
 
 from __future__ import annotations
@@ -362,8 +363,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (UsageError, oracle.CapExceededError, ValueError) as exc:
+    except (UsageError, oracle.CapExceededError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # carries no text
+        print("error: out of memory", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # The reader closed stdout early (``tablepaths table ... | head``).

@@ -162,6 +162,8 @@ def bounded_pair_count(dims: TableDims, start: Cell, end: Cell) -> int:
     low, high = max(1, start.row - steps), min(dims.rows, start.row + steps)
     if not low <= end.row <= high:  # the strip is cut to the rows in reach
         return 0
+    if low == high:  # one row: only flat steps fit
+        return 1
     r0, r1 = start.row - low + 1, end.row - low + 1
     up, across = _cycle_walks(2 * (high - low + 2), steps, (abs(r1 - r0), r1 + r0))
     return up - across

@@ -132,10 +132,8 @@ def d1_split(n: int, m: int, s: int) -> int:
 def _d_boundary(
     dims: TableDims, s: int, t: int, bottom_start: int, top_start: int
 ) -> int:
-    if not dims.contains(Cell(s, t)):
-        raise ValueError(
-            f"cell ({s},{t}) outside {dims.rows}x{dims.cols} table"
-        )
+    cell = Cell(s, t)
+    check_pair(dims, cell, cell)
     m = dims.rows
     total = 3 ** (s - 1)
     if s > 1:

@@ -2,12 +2,13 @@
 
 This module is the trust anchor: it never consults the column-marching
 engine or the closed forms, only the step definitions.  One depth-first
-search on an explicit stack, ``_search``, lists every word and backs
-every brute count.  It prunes any prefix that leaves [floor, ceiling] or
-can no longer reach its target row.  It has no recursion limit and keeps
-one letter buffer, so word length is bounded only by the configured cap.
-Listings also keep a row buffer, joined into the traces once per prefix
-one letter short of a word; brute counts never fill it.
+search on an explicit stack, the generator ``enumerate_words``, lists
+every word, and every brute count counts the words it yields.  It prunes
+any prefix that leaves [floor, ceiling] or can no longer reach its
+target row.  It has no recursion limit and keeps one letter buffer and
+one row buffer, so word length is bounded only by the configured cap;
+the rows are joined into the traces once per prefix one letter short of
+a word.
 """
 
 from __future__ import annotations
@@ -74,20 +75,18 @@ class WordFilter:
         return cls(start_row=start_row, floor=1, ceiling=dims.rows, end_row=end_row)
 
 
-def _search(
-    length: int, filt: WordFilter, cap: int, what: str = "word length",
-    traced: bool = False,
-) -> Iterator[tuple]:
-    """Yield ``(start_row, letters)`` for every word the filter admits,
-    start rows ascending, then lexicographic with u < r < d; ``traced``
-    appends the visited rows, comma-joined, as a third item.
+def enumerate_words(
+    length: int, filt: WordFilter, cap: int = DEFAULT_CAP
+) -> Iterator[LatticeWord]:
+    """Yield every word of the given length satisfying the filter, in
+    lexicographic order with u < r < d and start rows ascending.
 
     The window of admissible rows for each number of letters left is
     computed once per start row; a prefix outside it is pruned.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
-    _check_cap(length, cap, what)
+    _check_cap(length, cap, "word length")
     floor, ceiling = filt.floor, filt.ceiling
     if filt.start_row is not None:
         starts = range(filt.start_row, filt.start_row + 1)
@@ -101,6 +100,7 @@ def _search(
     # letter is yielded straight away, u first.
     lasts = [(ch, STEP_RISE[ch]) for ch in filt.alphabet]
     pushes = [(ord(ch), rise) for ch, rise in reversed(lasts)]
+    new = LatticeWord.__new__  # the search's letters and rows need no checks
     for start in starts:
         target = filt.end_row
         if filt.net_displacement is not None:
@@ -114,7 +114,9 @@ def _search(
         if not lows[length] <= start <= highs[length]:
             continue
         if not length:
-            yield (start, "", str(start)) if traced else (start, "")
+            word = new(LatticeWord)
+            word.letters, word.start_row, word.trace = "", start, str(start)
+            yield word
             continue
         buf = bytearray(length)  # letters 1..depth of the prefix; buf[0] unused
         rows = [""] * length  # rows 0..depth of the prefix, as text
@@ -122,36 +124,21 @@ def _search(
         push = stack.append
         while stack:
             depth, row, buf[depth] = stack.pop()
-            if traced:
-                rows[depth] = str(row)
+            rows[depth] = str(row)
             left = length - depth - 1
             lo, hi = lows[left], highs[left]
             if left:
                 for code, rise in pushes:
                     if lo <= (nxt := row + rise) <= hi:
                         push((depth + 1, nxt, code))
-            elif traced:
+            else:
                 prefix, head = buf[1:].decode(), ",".join(rows) + ","
                 for ch, rise in lasts:
                     if lo <= row + rise <= hi:
-                        yield start, prefix + ch, head + str(row + rise)
-            else:
-                prefix = buf[1:].decode()
-                for ch, rise in lasts:
-                    if lo <= row + rise <= hi:
-                        yield start, prefix + ch
-
-
-def enumerate_words(
-    length: int, filt: WordFilter, cap: int = DEFAULT_CAP
-) -> Iterator[LatticeWord]:
-    """Yield every word of the given length satisfying the filter, in
-    lexicographic order with u < r < d and start rows ascending."""
-    new = LatticeWord.__new__  # the search's letters and rows need no checks
-    for start, letters, trace in _search(length, filt, cap, traced=True):
-        word = new(LatticeWord)
-        word.letters, word.start_row, word.trace = letters, start, trace
-        yield word
+                        word = new(LatticeWord)
+                        word.letters, word.start_row = prefix + ch, start
+                        word.trace = head + str(row + rise)
+                        yield word
 
 
 def brute_pair_count(
@@ -161,7 +148,8 @@ def brute_pair_count(
     check_pair(dims, start, end)
     filt = WordFilter.in_table(dims, start_row=start.row, end_row=end.row)
     span = end.col - start.col
-    return sum(1 for _ in _search(span, filt, cap, "column span"))
+    _check_cap(span, cap, "column span")
+    return sum(1 for _ in enumerate_words(span, filt, cap))
 
 
 def brute_imn(dims: TableDims, cap: int = DEFAULT_CAP) -> int:
@@ -170,7 +158,7 @@ def brute_imn(dims: TableDims, cap: int = DEFAULT_CAP) -> int:
     _check_cap(dims.cols, cap, "table width")
     _check_cap(dims.rows, cap, "table height")
     filt = WordFilter.in_table(dims)
-    return sum(1 for _ in _search(dims.cols - 1, filt, cap))
+    return sum(1 for _ in enumerate_words(dims.cols - 1, filt, cap))
 
 
 def brute_free(x: int, y: int, cap: int = DEFAULT_CAP) -> int:
@@ -178,4 +166,4 @@ def brute_free(x: int, y: int, cap: int = DEFAULT_CAP) -> int:
     if y < 0:
         raise ValueError("y must be nonnegative")
     filt = WordFilter(start_row=0, net_displacement=x)
-    return sum(1 for _ in _search(y, filt, cap))
+    return sum(1 for _ in enumerate_words(y, filt, cap))

@@ -389,23 +389,65 @@ def test_module_invocation_subprocess():
     assert proc.stdout == "2\n"
 
 
+def _run_child(argv, timeout, memory_limited=False):
+    """Run the CLI as a child process; ``memory_limited`` caps the child's
+    address space (RLIMIT_AS, set in the child only) at 1 GB."""
+    preexec = None
+    if memory_limited:
+        resource = pytest.importorskip("resource")
+        gigabyte = 1 << 30
+
+        def preexec():
+            resource.setrlimit(resource.RLIMIT_AS, (gigabyte, gigabyte))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "tablepaths", *argv],
+                          capture_output=True, text=True, timeout=timeout,
+                          preexec_fn=preexec, env=dict(os.environ, PYTHONPATH=src))
+
+
 def test_count_at_a_huge_height_stays_small():
     # The strip is cut to the rows a one-step walk reaches, so a height of
     # 10^10 needs no more memory than a height of 2.
-    resource = pytest.importorskip("resource")
-    gigabyte = 1 << 30
-
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (gigabyte, gigabyte))
-
     argv = ["count", "-m", "10000000000", "-n", "2", "--from-col", "1",
             "--from-row", "1", "--to-col", "2", "--to-row", "2"]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-m", "tablepaths", *argv],
-                          capture_output=True, text=True, timeout=60,
-                          preexec_fn=limit_memory,
-                          env=dict(os.environ, PYTHONPATH=src))
+    proc = _run_child(argv, timeout=60, memory_limited=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
+
+def test_count_at_height_one_needs_no_walk():
+    # One row admits only flat steps, so a span of 10^11 answers at once.
+    span = "100000000001"
+    argv = ["count", "-m", "1", "-n", span, "--from-col", "1", "--from-row",
+            "1", "--to-col", span, "--to-row", "1"]
+    proc = _run_child(argv, timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
+
+HUGE = "100000000000000000000"  # 10^20, past any index-sized integer
+
+
+@pytest.mark.parametrize(
+    "argv, memory_limited",
+    [
+        (["table", "--kind", "d1", "-m", HUGE, "-n", "1"], False),
+        (["sequence", "--target", "d1-bottom-row", "-m", HUGE, "--max-n", "1"],
+         False),
+        (["words", "--length", HUGE, "--start", "1", "--cap", HUGE], False),
+        (["table", "--kind", "d1", "-m", "10000000000", "-n", "1"], True),
+        (["sequence", "--target", "imn-fixed-m", "-m", "3",
+          "--max-n", "100000000000"], True),
+    ],
+    ids=["table-overflow", "sequence-overflow", "words-overflow",
+         "table-out-of-memory", "sequence-out-of-memory"],
+)
+def test_huge_sizes_end_in_one_error_line(argv, memory_limited):
+    # A size past an index-sized integer raises OverflowError; one past
+    # the address space raises MemoryError.  Both end in one line.
+    proc = _run_child(argv, timeout=60, memory_limited=memory_limited)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
 def test_package_root_loads_no_module_and_script_entry_runs():

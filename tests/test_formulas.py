@@ -166,7 +166,7 @@ def test_d_boundary_examples():
     assert d_boundary(TableDims(2, 4), 4, 1) == 27 - 14 - 5 == 8
     for m, n, t in [(3, 5, 2), (4, 4, 4)]:
         assert d_boundary(TableDims(m, n), 1, t) == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"cell \(4,1\) outside 2x3 table"):
         d_boundary(TableDims(2, 3), 4, 1)
 
 
