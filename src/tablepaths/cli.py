@@ -7,11 +7,14 @@ a ``verify`` report (json, markdown, csv) is rendered here.  Kinds and
 targets name ``dp`` functions.  Every table is built by ``dp.build``, not
 through its memo ``dp.cached``, so no big table outlives its request.
 
-Exit codes: 0 success, 1 usage or resource error (a value past the
-int->str digit limit and a size too large to allocate included), 2
-verification mismatch.  All values are printed as decimal strings;
-tables print with the row index decreasing downward so they can be
-compared against printed references directly.
+Exit codes: 0 success, 1 usage or resource error (a size too large to
+allocate included, and a ``count`` or ``table`` value past the int->str
+digit limit), 2 verification mismatch.  All values are printed as
+decimal strings; tables print with the row index decreasing downward so
+they can be compared against printed references directly.  Sequences
+print exact values of any size: they are marched on exact Decimals,
+whose decimal string is linear in its digits and meets no digit limit.
+Lists are written in batches: 256 sequence values or 4,096 words.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ LIST_FORMATS = ("plain", "csv", "json")  # sequence values and words
 TABLE_KINDS = {"d1": ("di_table", 1), "d": ("d_table",), "a": ("a_table",),
                "h": ("h_table",)}  # kind -> dp.build's (family, *start row)
 SEQUENCE_TARGETS = {"imn-fixed-m": "imn_sequence", "d1-bottom-row": "d1_bottom_row"}
-WORD_BATCH = 4096  # list items (words, sequence values) formatted per write
+WORD_BATCH = 4096  # words formatted per write
+SEQUENCE_BATCH = 256  # sequence values formatted per write: each may be long
 
 
 class UsageError(Exception):
@@ -62,8 +66,8 @@ def _write_json(out: TextIO, head: str, key: str, chunks: Iterable[str]) -> None
     out.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
 
 
-def _write_list(fmt, items, head, key, json_item, csv_header, line) -> None:
-    """Write ``items`` in batches of WORD_BATCH, each formatted as it is
+def _write_list(fmt, items, batch, head, key, json_item, csv_header, line) -> None:
+    """Write ``items`` in batches of ``batch``, each formatted as it is
     read: as the json list ``key`` after the members ``head``, else one
     ``line`` each, under ``csv_header`` in csv.  Taking the first item
     before any write keeps errors off stdout."""
@@ -71,7 +75,7 @@ def _write_list(fmt, items, head, key, json_item, csv_header, line) -> None:
     if first is not None:
         items = chain([first], items)
     sep, item = (",\n", json_item) if fmt == "json" else ("", line)
-    chunks = iter(lambda: sep.join(map(item, islice(items, WORD_BATCH))), "")
+    chunks = iter(lambda: sep.join(map(item, islice(items, batch))), "")
     if fmt == "json":
         return _write_json(sys.stdout, head, key, chunks)
     if fmt == "csv":
@@ -153,12 +157,20 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_sequence(args) -> int:
-    values = getattr(dp, SEQUENCE_TARGETS[args.target])(args.rows, args.max_n)
-    _decimal(max(values))  # past the digit limit: fail before any write
+    import decimal  # loaded only here: other commands print ints
+
+    # The march on Decimals: their str is linear in the digits and meets
+    # no int->str limit.  The context is exact; a rounding would raise.
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = (decimal.MAX_PREC, decimal.MAX_EMAX,
+                                        decimal.MIN_EMIN)
+        ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+        values = dp._sequence(SEQUENCE_TARGETS[args.target], args.rows,
+                              args.max_n, decimal.Decimal(1))
     head = f'  "target": "{args.target}",\n  "rows": {args.rows},\n'
     line = "{0[0]},{0[1]}\n" if args.format == "csv" else "{0[1]}\n"
-    _write_list(args.format, enumerate(values, start=1), head, "values",
-                '    [\n      {0[0]},\n      "{0[1]}"\n    ]'.format,
+    _write_list(args.format, enumerate(map(str, values), start=1), SEQUENCE_BATCH,
+                head, "values", '    [\n      {0[0]},\n      "{0[1]}"\n    ]'.format,
                 "n,value\n", line.format)
     return 0
 
@@ -282,7 +294,8 @@ def _cmd_words(args) -> int:
         return f"{w.letters or 'ε'}{sep}{trace}\n"
 
     _write_list(
-        args.format, oracle.enumerate_words(length, filt, cap=cap), "", "words",
+        args.format, oracle.enumerate_words(length, filt, cap=cap), WORD_BATCH,
+        "", "words",
         # Letters are validated to "urd", so they need no JSON escaping.
         lambda w: f'    {{\n      "letters": "{w.letters}",\n'
         f'      "start_row": {w.start_row},\n      "trace": [\n        '

@@ -55,9 +55,9 @@ def _advance_cycle(col: list[int]) -> list[int]:
     ]
 
 
-def _unit_column(rows: int, row: int) -> list[int]:
+def _unit_column(rows: int, row: int, one=1) -> list[int]:
     col = [0] * rows
-    col[row - 1] = 1
+    col[row - 1] = one
     return col
 
 
@@ -174,18 +174,26 @@ def imn(dims: TableDims) -> int:
     return sum(_last(_march([1] * dims.rows, dims.cols)))
 
 
-def imn_sequence(rows: int, max_cols: int) -> list[int]:
-    """Whole-table counts for widths 1..max_cols at a fixed height."""
+def _sequence(family: str, rows: int, max_cols: int, one=1) -> list:
+    """The values of ``family`` (``imn_sequence`` or ``d1_bottom_row``) for
+    s = 1..max_cols, marched on columns whose unit is ``one``.  The march
+    only adds, so a ``decimal.Decimal`` one in a context that cannot round
+    gives the same values as Decimals, whose ``str`` takes linear time."""
     if rows < 1 or max_cols < 1:
         raise ValueError("rows and max_cols must be positive")
-    return list(map(sum, _march([1] * rows, max_cols)))
+    if family == "imn_sequence":
+        return list(map(sum, _march([one] * rows, max_cols)))
+    return [col[0] for col in _march(_unit_column(rows, 1, one), max_cols)]
+
+
+def imn_sequence(rows: int, max_cols: int) -> list[int]:
+    """Whole-table counts for widths 1..max_cols at a fixed height."""
+    return _sequence("imn_sequence", rows, max_cols)
 
 
 def d1_bottom_row(rows: int, max_cols: int) -> list[int]:
     """Bottom-row counts of the start-row-1 family for s = 1..max_cols."""
-    if rows < 1 or max_cols < 1:
-        raise ValueError("rows and max_cols must be positive")
-    return [col[0] for col in _march(_unit_column(rows, 1), max_cols)]
+    return _sequence("d1_bottom_row", rows, max_cols)
 
 
 def free_count(net: int, steps: int) -> int:

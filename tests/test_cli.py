@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -671,15 +672,24 @@ def test_words_errors_leave_stdout_empty(capsys, fmt):
     assert (code, out) == (1, "") and err.count("\n") == 1
 
 
+@contextmanager
+def int_digit_limit(limit):
+    """Run the body under the int->str digit limit ``limit`` (0 lifts it)."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_over_digit_limit_table_exits_one_with_empty_stdout(capsys):
     # Two rows from row 1: column s holds 2^(s-2) twice, and the footer
     # entry at s is their sum 2^(s-1).  Pick the width whose footer alone
     # passes the lowest int->str digit limit Python allows.
     limit = sys.int_info.str_digits_check_threshold
     cols = next(n for n in range(3, 10_000) if len(str(2 ** (n - 1))) > limit)
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
+    with int_digit_limit(limit):
         code, out, _ = run_cli(capsys, "table", "--kind", "d1", "-m", "2",
                                "-n", str(cols))
         assert code == 0 and out.count("\n") == 4
@@ -692,22 +702,19 @@ def test_over_digit_limit_table_exits_one_with_empty_stdout(capsys):
                                      "-n", str(cols + 1), "--format", fmt)
             assert (code, out) == (1, "")
             assert err.startswith("error: ") and err.count("\n") == 1
-    finally:
-        sys.set_int_max_str_digits(old)
 
 
 @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
-def test_over_digit_limit_sequence_exits_one_with_empty_stdout(capsys, fmt):
-    # The D1 bottom row at height 4 passes 640 digits long before n = 4000.
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
+def test_sequence_past_the_digit_limit_prints_exact_values(capsys, fmt):
+    # The D1 bottom row at height 4 passes 640 digits long before n = 4000;
+    # sequences print from Decimals, which the int->str limit does not meet.
+    with int_digit_limit(sys.int_info.str_digits_check_threshold):
         code, out, err = run_cli(capsys, "sequence", "--target", "d1-bottom-row",
                                  "-m", "4", "--max-n", "4000", "--format", fmt)
-    finally:
-        sys.set_int_max_str_digits(old)
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (code, err) == (0, "")
+    with int_digit_limit(0):
+        assert out == _joined_sequence("d1-bottom-row", 4, d1_bottom_row(4, 4000),
+                                       fmt)
 
 
 @pytest.mark.parametrize("command", [
@@ -716,21 +723,35 @@ def test_over_digit_limit_sequence_exits_one_with_empty_stdout(capsys, fmt):
     ["count", "-m", "2", "-n", "2200", "--from-col", "1", "--from-row", "1",
      "--to-col", "2200", "--to-row", "1"],
     ["table", "--kind", "d1", "-m", "2", "-n", "2200", "--format", "csv"],
-    ["sequence", "--target", "d1-bottom-row", "-m", "2", "--max-n", "2200"],
-], ids=["count", "table", "sequence"])
+], ids=["count", "table"])
 def test_digit_limit_refusal_is_the_clis_own_message(capsys, command):
     # The message names the limit in the same words on every interpreter,
     # rather than passing on CPython's own text.
     limit = sys.int_info.str_digits_check_threshold
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
+    with int_digit_limit(limit):
         code, out, err = run_cli(capsys, *command)
-    finally:
-        sys.set_int_max_str_digits(old)
     assert (code, out) == (1, "")
     assert err == (f"error: a value has more than {limit} decimal digits, "
                    "past the int->str conversion limit\n")
+
+
+def test_only_sequence_loads_decimal():
+    # --help, count and table print ints; only sequence needs Decimal.
+    code = (
+        "import sys\n"
+        "from tablepaths.cli import main\n"
+        "main(['--help'])\n"
+        "main(['count', '-m', '2', '-n', '3', '--from-col', '1', '--from-row',"
+        " '1', '--to-col', '3', '--to-row', '1'])\n"
+        "main(['table', '--kind', 'd1', '-m', '2', '-n', '3'])\n"
+        "print('decimal' in sys.modules, file=sys.stderr)\n"
+        "main(['sequence', '--target', 'imn-fixed-m', '-m', '2', '--max-n', '3'])\n"
+        "print('decimal' in sys.modules, file=sys.stderr)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stderr) == (0, "False\nTrue\n")
 
 
 def test_footer_misuse_is_rejected_before_the_table_is_built(capsys, monkeypatch):

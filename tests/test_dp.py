@@ -1,3 +1,5 @@
+import decimal
+
 import pytest
 
 from golden_tables import (
@@ -228,6 +230,20 @@ def test_d1_bottom_row_matches_tables():
     for rows, max_cols in [(0, 3), (3, 0), (-1, 1)]:
         with pytest.raises(ValueError, match="rows and max_cols must be positive"):
             d1_bottom_row(rows, max_cols)
+
+
+@pytest.mark.parametrize("family", ["imn_sequence", "d1_bottom_row"])
+def test_decimal_march_raises_rather_than_rounds(family):
+    # Decimal's default 28 digits round silently: imn-fixed-m at height 8
+    # ends near 2.112650234733205576138343713E+46 after 100 columns.  With
+    # Inexact trapped the march raises instead of returning such a value.
+    with decimal.localcontext() as ctx:
+        ctx.prec = 28
+        rounded = dp._sequence(family, 8, 100, decimal.Decimal(1))
+        ctx.traps[decimal.Inexact] = True
+        with pytest.raises(decimal.Inexact):
+            dp._sequence(family, 8, 100, decimal.Decimal(1))
+    assert rounded[-1] != getattr(dp, family)(8, 100)[-1]
 
 
 def test_free_count_examples():

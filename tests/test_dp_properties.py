@@ -2,8 +2,9 @@
 
 Every family ``dp.build`` makes must agree cell by cell with oracle
 counts, the engine's pair, whole-table and free counts must equal the
-brute counts, and every CLI table kind's csv and json output must list
-the cells of the table ``dp.build`` returns, each once.  Settings are
+brute counts, every CLI table kind's csv and json output must list
+the cells of the table ``dp.build`` returns, each once, and every CLI
+sequence must print the int march's values.  Settings are
 fixed (derandomized, bounded examples) so runs repeat.
 """
 
@@ -24,7 +25,8 @@ from tablepaths.oracle import (
 )
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from test_cli import _joined_sequence, int_digit_limit  # noqa: E402
 
 FIXED = settings(
     derandomize=True, max_examples=60, deadline=None, database=None
@@ -131,3 +133,21 @@ def test_pair_count_equals_the_start_row_table(rows, steps, data):
     dims = TableDims(rows, steps + 1)
     want = dp.di_table(dims, r0).get(steps + 1, r1)
     assert dp.bounded_pair_count(dims, Cell(1, r0), Cell(steps + 1, r1)) == want
+
+
+@FIXED
+@given(st.sampled_from(sorted(cli.SEQUENCE_TARGETS)), st.integers(1, 20),
+       st.integers(1, 700), st.sampled_from(cli.LIST_FORMATS))
+@example("imn-fixed-m", 20, 700, "json")
+@example("d1-bottom-row", 3, 700, "csv")
+def test_sequence_output_is_the_int_march_text(target, rows, max_n, fmt):
+    # Up to 700 columns the values pass Decimal's default 28 digits and
+    # the list passes one write batch of cli.SEQUENCE_BATCH values.
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["sequence", "--target", target, "-m", str(rows),
+                         "--max-n", str(max_n), "--format", fmt])
+    values = getattr(dp, cli.SEQUENCE_TARGETS[target])(rows, max_n)
+    with int_digit_limit(0):
+        want = _joined_sequence(target, rows, values, fmt)
+    assert (code, out.getvalue()) == (0, want)
