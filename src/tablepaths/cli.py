@@ -4,17 +4,21 @@ Subcommands: ``table`` renders a counting family, ``count`` evaluates
 one pair count, ``sequence`` emits a sequence, ``verify`` drives the
 identity suite and ``words`` lists matching lattice words; every form of
 a ``verify`` report (json, markdown, csv) is rendered here.  Kinds and
-targets name ``dp`` functions.  Every table is built by ``dp.build``, not
-through its memo ``dp.cached``, so no big table outlives its request.
+targets name ``dp`` families.  A table is streamed from ``dp``'s column
+march, not built by ``dp.build``: csv and json write each column as it
+is marched, and markdown, which prints rows, keeps each column's text.
+Nothing goes through the memo ``dp.cached``, so no big table outlives
+its request.
 
 Exit codes: 0 success, 1 usage or resource error (a size too large to
-allocate included, and a ``count`` or ``table`` value past the int->str
-digit limit), 2 verification mismatch.  All values are printed as
-decimal strings; tables print with the row index decreasing downward so
-they can be compared against printed references directly.  Sequences
-print exact values of any size: they are marched on exact Decimals,
-whose decimal string is linear in its digits and meets no digit limit.
-Lists are written in batches: 256 sequence values or 4,096 words.
+allocate included, and a ``count`` value past the int->str digit
+limit), 2 verification mismatch.  All values are printed as decimal
+strings; tables print with the row index decreasing downward so they
+can be compared against printed references directly.  Tables and
+sequences print exact values of any size: they are marched on exact
+Decimals, whose decimal string is linear in its digits and meets no
+digit limit; only ``count`` meets it.  Lists are written in batches:
+256 sequence values or 4,096 words.
 """
 
 from __future__ import annotations
@@ -23,17 +27,18 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain, islice
+from contextlib import contextmanager
+from itertools import chain, count, islice
 from typing import Iterable, Optional, Sequence, TextIO
 
 from . import dp, oracle, verify
-from .core import Cell, CountMatrix, TableDims
+from .core import Cell, TableDims
 
 CAP_ENV_VAR = "TABLEPATHS_ORACLE_CAP"
 FORMATS = ("csv", "json", "markdown")
 LIST_FORMATS = ("plain", "csv", "json")  # sequence values and words
 TABLE_KINDS = {"d1": ("di_table", 1), "d": ("d_table",), "a": ("a_table",),
-               "h": ("h_table",)}  # kind -> dp.build's (family, *start row)
+               "h": ("h_table",)}  # kind -> dp's (family, *start row)
 SEQUENCE_TARGETS = {"imn-fixed-m": "imn_sequence", "d1-bottom-row": "d1_bottom_row"}
 WORD_BATCH = 4096  # words formatted per write
 SEQUENCE_BATCH = 256  # sequence values formatted per write: each may be long
@@ -57,13 +62,14 @@ def _write_json(out: TextIO, head: str, key: str, chunks: Iterable[str]) -> None
     """Write ``{<head> "key": [<chunks>]}`` byte for byte as
     ``json.dumps(obj, indent=2)`` does, whose pure-Python encoder is too
     slow for big tables.  ``head`` holds the earlier members, rendered;
-    each chunk is a nonempty ",\\n"-joined run of depth-2 list items."""
-    out.write("{\n" + head + f'  "{key}": [')
-    sep = "\n"
+    each chunk is a nonempty ",\\n"-joined run of depth-2 list items.  The
+    opening goes out with the first chunk, so nothing is written before
+    that chunk is made."""
+    opening, sep = "{\n" + head + f'  "{key}": [', "\n"
     for chunk in chunks:
-        out.write(sep + chunk)
-        sep = ",\n"
-    out.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
+        out.write(opening + sep + chunk)
+        opening, sep = "", ",\n"
+    out.write(opening + ("]\n}\n" if sep == "\n" else "\n  ]\n}\n"))
 
 
 def _write_list(fmt, items, batch, head, key, json_item, csv_header, line) -> None:
@@ -83,8 +89,25 @@ def _write_list(fmt, items, batch, head, key, json_item, csv_header, line) -> No
     sys.stdout.writelines(chunks)
 
 
+@contextmanager
+def _exact_decimals():
+    """Yield ``decimal.Decimal(1)`` inside a context in which a march of
+    Decimals is exact: its precision and exponent range are the largest
+    there are, and a rounding would raise.  A Decimal's ``str`` is linear
+    in its digits and meets no int->str limit."""
+    import decimal  # loaded only by table and sequence: the others print ints
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = (decimal.MAX_PREC, decimal.MAX_EMAX,
+                                        decimal.MIN_EMIN)
+        ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+        yield decimal.Decimal(1)
+
+
 def _decimal(value: int) -> str:
-    """``value`` in decimal, or a one-line error naming the int->str limit."""
+    """``count``'s answer in decimal, or a one-line error naming the
+    int->str limit; tables and sequences print Decimals, which it does
+    not meet."""
     try:
         return str(value)
     except ValueError:  # only from 3.10.7 on, which has the limit's getter
@@ -93,38 +116,46 @@ def _decimal(value: int) -> str:
                          "past the int->str conversion limit") from None
 
 
-def render_table_csv(out: TextIO, matrix: CountMatrix) -> None:
-    out.write("s,t,value\n")
-    rows = range(1, matrix.dims.rows + 1)
-    for s, col in enumerate(matrix.columns(), start=1):
-        out.write("".join(map(f"{s},{{}},{{}}\n".format, rows, col)))
+def render_table_csv(out: TextIO, dims: TableDims, columns: Iterable) -> None:
+    """One write per column, one join over precomputed row pieces each;
+    the header goes out with column 1."""
+    mids = [f"{t}," for t in range(1, dims.rows + 1)]
+    header = "s,t,value\n"
+    for s, col in enumerate(columns, start=1):
+        head = f"{s},"
+        out.write(header + head + ("\n" + head).join(
+            map(str.__add__, mids, map(str, col))) + "\n")
+        header = ""
 
 
-def render_table_json(out: TextIO, matrix: CountMatrix, kind: str) -> None:
-    dims = matrix.dims
+def render_table_json(out: TextIO, dims: TableDims, columns: Iterable,
+                      kind: str) -> None:
     head = (f'  "dims": {{\n    "rows": {dims.rows},\n    "cols": {dims.cols}\n'
             f'  }},\n  "kind": {json.dumps(kind)},\n')
-    _write_json(out, head, "entries", (
-        ",\n".join(f'    [\n      {s},\n      {t},\n      "{v}"\n    ]'
-                   for t, v in enumerate(col, start=1))
-        for s, col in enumerate(matrix.columns(), start=1)
-    ))
+    mids = [f'{t},\n      "' for t in range(1, dims.rows + 1)]
+
+    def chunk(s, col):  # the column's entries, each [s, t, "value"]
+        pre = f"    [\n      {s},\n      "
+        return pre + ('"\n    ],\n' + pre).join(
+            map(str.__add__, mids, map(str, col))) + '"\n    ]'
+
+    _write_json(out, head, "entries", map(chunk, count(1), columns))
 
 
-def render_table_markdown(
-    out: TextIO, matrix: CountMatrix, kind: str, footer: Optional[list[int]] = None
-) -> None:
+def render_table_markdown(out: TextIO, dims: TableDims, columns: Iterable,
+                          kind: str, footer: Optional[list] = None) -> None:
     # Triangular families leave the unreachable upper wedge (t > s)
     # blank, the way the reference tables print them.
     blank_wedge = kind in ("d1", "a")
-    cols = matrix.dims.cols
+    cols = dims.cols
+    # Rows are printed, so every column's text is made before the first write.
+    rows = list(zip(*[tuple(map(str, col)) for col in columns]))
     out.write("| t\\s | " + " | ".join(map(str, range(1, cols + 1))) + " |\n")
     out.write("|" + " --- |" * (cols + 1) + "\n")
-    rows = list(zip(*matrix.columns()))  # rows[t - 1]: row t, column 1 first
-    for t in range(matrix.dims.rows, 0, -1):
-        cells = map(str, rows[t - 1])
+    for t in range(dims.rows, 0, -1):
+        cells = rows[t - 1]
         if blank_wedge:
-            cells = chain([""] * min(t - 1, cols), map(str, rows[t - 1][t - 1:]))
+            cells = chain([""] * min(t - 1, cols), cells[t - 1:])
         out.write(f"| {t} | " + " | ".join(cells) + " |\n")
     if footer is not None:
         out.write("| H(s,s) | " + " | ".join(map(str, footer)) + " |\n")
@@ -134,16 +165,20 @@ def _cmd_table(args) -> int:
     if args.hss_footer and (args.kind != "d1" or args.format != "markdown"):
         raise UsageError("--hss-footer requires --kind d1 and markdown format")
     family, *start = TABLE_KINDS[args.kind]
-    matrix = dp.build(family, args.rows, args.cols, *start)
-    footer = dp.hss_values(matrix) if args.hss_footer else None
-    # Past the digit limit: fail before any write, footer included.
-    _decimal(max(chain(map(max, matrix.columns()), footer or ())))
-    if args.format == "csv":
-        render_table_csv(sys.stdout, matrix)
-    elif args.format == "json":
-        render_table_json(sys.stdout, matrix, args.kind)
-    else:
-        render_table_markdown(sys.stdout, matrix, args.kind, footer)
+    dims = TableDims(args.rows, args.cols)
+    with _exact_decimals() as one:
+        # Every check, and column 1, comes before the first write.
+        columns = dp._columns(family, dims.rows, dims.cols, *start, one=one)
+        if args.format == "csv":
+            render_table_csv(sys.stdout, dims, columns)
+        elif args.format == "json":
+            render_table_json(sys.stdout, dims, columns, args.kind)
+        else:
+            footer = None
+            if args.hss_footer:  # the footer reads the values too
+                columns = list(columns)
+                footer = dp.hss_values(columns)
+            render_table_markdown(sys.stdout, dims, columns, args.kind, footer)
     return 0
 
 
@@ -157,16 +192,9 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_sequence(args) -> int:
-    import decimal  # loaded only here: other commands print ints
-
-    # The march on Decimals: their str is linear in the digits and meets
-    # no int->str limit.  The context is exact; a rounding would raise.
-    with decimal.localcontext() as ctx:
-        ctx.prec, ctx.Emax, ctx.Emin = (decimal.MAX_PREC, decimal.MAX_EMAX,
-                                        decimal.MIN_EMIN)
-        ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+    with _exact_decimals() as one:
         values = dp._sequence(SEQUENCE_TARGETS[args.target], args.rows,
-                              args.max_n, decimal.Decimal(1))
+                              args.max_n, one)
     head = f'  "target": "{args.target}",\n  "rows": {args.rows},\n'
     line = "{0[0]},{0[1]}\n" if args.format == "csv" else "{0[1]}\n"
     _write_list(args.format, enumerate(map(str, values), start=1), SEQUENCE_BATCH,

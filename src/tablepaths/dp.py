@@ -6,9 +6,11 @@ t.  One generator, ``_march``, holds the only column loop: each family
 starts it from its own first column (a unit column for D^i and A, all
 ones for D and I_m(n)) and marches a dense row vector column by column
 with O(rows) state; full matrices are materialized only when a
-CountMatrix is requested.  ``build`` is the one switch from a family
-name to a table: the CLI calls it directly, and ``cached``, the memo
-shared by the verifier's engine side and the closed forms, wraps it.
+CountMatrix is requested.  ``_columns`` is the one switch from a family
+name to a first column and a step: the CLI's ``table`` streams its
+columns, and the four table builders wrap them in a CountMatrix.
+``build`` names a builder by family, and ``cached``, the memo shared by
+the verifier's engine side and the closed forms, wraps it.
 
 Confinement is enforced by clipping the stencil at the vector ends; the
 virtual rows 0 and rows+1 are never stored.
@@ -75,19 +77,43 @@ def _last(columns: Iterable[list[int]]) -> list[int]:
     return deque(columns, maxlen=1)[0]
 
 
+_FAMILIES = ("di_table", "d_table", "h_table", "a_table")  # what ``build`` builds
+
+
+def _columns(family: str, rows: int, cols: int, *start: int, one=1) -> Iterator[list]:
+    """The columns of ``family``'s ``rows`` x ``cols`` table, column 1 first,
+    each a list, bottom row first, marched on columns whose unit is ``one``.
+
+    The one switch from a family name (``di_table`` with its ``start``
+    row, ``d_table``, ``h_table`` or ``a_table``) to a first column and a
+    step.  Every check raises here, at the call, and the first column is
+    made here too; the march after it is lazy.
+    """
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown table family {family!r}")
+    TableDims(rows, cols)  # dims checked first
+    if family == "a_table":
+        if cols != rows:
+            raise ValueError("kind 'a' is a square family; use --rows == --cols")
+        return _march(_unit_column(rows, 1, one), cols, _advance_ud)
+    if family == "d_table":
+        return _march([one] * rows, cols)
+    if family == "h_table":
+        return map(list, map(accumulate, _columns("di_table", rows, cols, 1, one=one)))
+    (start_row,) = start
+    if not 1 <= start_row <= rows:
+        raise ValueError(f"start row {start_row} outside [1, {rows}]")
+    return _march(_unit_column(rows, start_row, one), cols)
+
+
 def di_table(dims: TableDims, start_row: int) -> CountMatrix:
     """Counts of confined paths from (1, start_row) to every cell."""
-    if not 1 <= start_row <= dims.rows:
-        raise ValueError(
-            f"start row {start_row} outside [1, {dims.rows}]"
-        )
-    col = _unit_column(dims.rows, start_row)
-    return CountMatrix(dims, list(_march(col, dims.cols)))
+    return CountMatrix(dims, _columns("di_table", dims.rows, dims.cols, start_row))
 
 
 def d_table(dims: TableDims) -> CountMatrix:
     """Counts of confined paths from anywhere in column 1 to every cell."""
-    return CountMatrix(dims, list(_march([1] * dims.rows, dims.cols)))
+    return CountMatrix(dims, _columns("d_table", dims.rows, dims.cols))
 
 
 def a_table(n: int) -> CountMatrix:
@@ -97,8 +123,7 @@ def a_table(n: int) -> CountMatrix:
     The n-row window is exact, not an approximation: an entry needs
     t <= s <= n, so the top wall is never reached.
     """
-    dims = TableDims(n, n)
-    return CountMatrix(dims, list(_march(_unit_column(n, 1), n, _advance_ud)))
+    return CountMatrix(TableDims(n, n), _columns("a_table", n, n))
 
 
 def h_table(dims: TableDims) -> CountMatrix:
@@ -107,22 +132,17 @@ def h_table(dims: TableDims) -> CountMatrix:
     Entry (s, t) counts paths from (1, 1) to column s ending in any row
     up to t; entry (s, rows) counts all paths from (1, 1) to column s.
     """
-    return CountMatrix(dims, map(accumulate, di_table(dims, 1).columns()))
-
-
-_FAMILIES = ("di_table", "d_table", "h_table", "a_table")  # what ``build`` builds
+    return CountMatrix(dims, _columns("h_table", dims.rows, dims.cols))
 
 
 def build(family: str, rows: int, cols: int, *start: int) -> CountMatrix:
     """A new ``rows`` x ``cols`` table of ``family``: ``di_table`` with its
     ``start`` row, ``d_table``, ``h_table``, or ``a_table`` (rows == cols).
-    The builder is looked up at call time, so a patched one sees every build."""
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown table family {family!r}")
-    make, dims = globals()[family], TableDims(rows, cols)  # dims checked first
-    if family == "a_table" and cols != rows:
-        raise ValueError("kind 'a' is a square family; use --rows == --cols")
-    return make(rows) if family == "a_table" else make(dims, *start)
+    ``_columns`` checks the request first; the builder is looked up at call
+    time, so a patched one sees every build."""
+    _columns(family, rows, cols, *start)
+    make = globals()[family]
+    return make(rows) if family == "a_table" else make(TableDims(rows, cols), *start)
 
 
 # The one memo, keyed on ``build``'s arguments: 128 tables hold an identity
@@ -130,16 +150,15 @@ def build(family: str, rows: int, cols: int, *start: int) -> CountMatrix:
 cached = lru_cache(maxsize=128)(build)
 
 
-def hss_values(d1: CountMatrix) -> list[int]:
+def hss_values(columns: Iterable) -> list:
     """Diagonal footer H(s, min(s, rows)) for s = 1..cols, read from the
-    start-row-1 table ``d1`` (as built by ``di_table(dims, 1)``).
+    columns of the start-row-1 table (as ``di_table(dims, 1)`` holds them).
 
     For s <= rows this is the true diagonal; beyond the top row the
     diagonal is capped at the table height, matching the tabulated
     footer convention.
     """
-    rows = d1.dims.rows
-    return [sum(col[:min(s, rows)]) for s, col in enumerate(d1.columns(), start=1)]
+    return [sum(col[:s]) for s, col in enumerate(columns, start=1)]
 
 
 def _cycle_walks(n: int, steps: int, ends: Iterable[int]) -> list[int]:
@@ -171,7 +190,7 @@ def bounded_pair_count(dims: TableDims, start: Cell, end: Cell) -> int:
 
 def imn(dims: TableDims) -> int:
     """Number of paths crossing the whole table, any start and end row."""
-    return sum(_last(_march([1] * dims.rows, dims.cols)))
+    return sum(_last(_columns("d_table", dims.rows, dims.cols)))
 
 
 def _sequence(family: str, rows: int, max_cols: int, one=1) -> list:
@@ -182,8 +201,8 @@ def _sequence(family: str, rows: int, max_cols: int, one=1) -> list:
     if rows < 1 or max_cols < 1:
         raise ValueError("rows and max_cols must be positive")
     if family == "imn_sequence":
-        return list(map(sum, _march([one] * rows, max_cols)))
-    return [col[0] for col in _march(_unit_column(rows, 1, one), max_cols)]
+        return list(map(sum, _columns("d_table", rows, max_cols, one=one)))
+    return [col[0] for col in _columns("di_table", rows, max_cols, 1, one=one)]
 
 
 def imn_sequence(rows: int, max_cols: int) -> list[int]:

@@ -168,14 +168,14 @@ def test_table_dims_are_checked_before_the_square_rule(capsys):
     assert run_cli(capsys, "table", "--kind", "a", "-m", "4", "-n", "4")[::2] == (0, "")
 
 
-def test_every_table_kind_is_built_by_dp_build_outside_the_memo(capsys, monkeypatch):
-    calls, real = [], dp.build
-    monkeypatch.setattr(dp, "build", lambda *args: calls.append(args) or real(*args))
+def test_every_table_kind_leaves_the_memo_empty(capsys):
+    # A printed table is streamed from the march; none is kept for later.
     dp.cached.cache_clear()
     for kind in cli.TABLE_KINDS:
-        assert run_cli(capsys, "table", "--kind", kind, "-m", "4", "-n", "4")[0] == 0
-    families = cli.TABLE_KINDS.values()
-    assert calls == [(family, 4, 4, *start) for family, *start in families]
+        for fmt in cli.FORMATS:
+            code, out, _ = run_cli(capsys, "table", "--kind", kind, "-m", "4",
+                                   "-n", "4", "--format", fmt)
+            assert code == 0 and out
     assert dp.cached.cache_info().currsize == 0
 
 
@@ -543,9 +543,9 @@ def _joined_markdown(matrix, kind, footer=None):
     return "\n".join(lines) + "\n"
 
 
-def _streamed(render, *args):
+def _streamed(render, matrix, *args):
     out = io.StringIO()
-    assert render(out, *args) is None
+    assert render(out, matrix.dims, iter(matrix.columns()), *args) is None
     return out.getvalue()
 
 
@@ -563,10 +563,24 @@ def test_streamed_tables_match_joined_renderers(rows, cols):
         assert _streamed(cli.render_table_markdown, matrix, kind) == (
             _joined_markdown(matrix, kind)
         )
-    footer = hss_values(tables["d1"])
+    footer = hss_values(tables["d1"].columns())
     assert _streamed(cli.render_table_markdown, tables["d1"], "d1", footer) == (
         _joined_markdown(tables["d1"], "d1", footer)
     )
+
+
+def _table_text(kind, rows, cols, fmt, footer=False):
+    """The reference text of a ``table`` request, rendered whole from
+    ``dp.build``'s int table with the digit limit lifted."""
+    family, *start = cli.TABLE_KINDS[kind]
+    matrix = dp.build(family, rows, cols, *start)
+    with int_digit_limit(0):
+        if fmt == "csv":
+            return _joined_csv(matrix)
+        if fmt == "json":
+            return _dumped_json(matrix, kind)
+        return _joined_markdown(matrix, kind,
+                                hss_values(matrix.columns()) if footer else None)
 
 
 def format_trace(trace):
@@ -683,25 +697,21 @@ def int_digit_limit(limit):
         sys.set_int_max_str_digits(old)
 
 
-def test_over_digit_limit_table_exits_one_with_empty_stdout(capsys):
+@pytest.mark.parametrize("fmt, footer", [("csv", False), ("json", False),
+                                         ("markdown", False), ("markdown", True)],
+                         ids=["csv", "json", "markdown", "markdown-footer"])
+def test_table_past_the_digit_limit_prints_exact_values(capsys, fmt, footer):
     # Two rows from row 1: column s holds 2^(s-2) twice, and the footer
-    # entry at s is their sum 2^(s-1).  Pick the width whose footer alone
-    # passes the lowest int->str digit limit Python allows.
+    # entry at s is their sum 2^(s-1).  At 2,200 columns both pass the
+    # lowest int->str digit limit Python allows; tables print from
+    # Decimals, which the limit does not meet.
     limit = sys.int_info.str_digits_check_threshold
-    cols = next(n for n in range(3, 10_000) if len(str(2 ** (n - 1))) > limit)
+    assert len(str(2 ** 2198)) > limit
+    argv = ["table", "--kind", "d1", "-m", "2", "-n", "2200", "--format", fmt]
     with int_digit_limit(limit):
-        code, out, _ = run_cli(capsys, "table", "--kind", "d1", "-m", "2",
-                               "-n", str(cols))
-        assert code == 0 and out.count("\n") == 4
-        code, out, err = run_cli(capsys, "table", "--kind", "d1", "-m", "2",
-                                 "-n", str(cols), "--hss-footer")
-        assert (code, out) == (1, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
-        for fmt in ("csv", "json", "markdown"):
-            code, out, err = run_cli(capsys, "table", "--kind", "d1", "-m", "2",
-                                     "-n", str(cols + 1), "--format", fmt)
-            assert (code, out) == (1, "")
-            assert err.startswith("error: ") and err.count("\n") == 1
+        code, out, err = run_cli(capsys, *argv, *["--hss-footer"] * footer)
+    assert (code, err) == (0, "")
+    assert out == _table_text("d1", 2, 2200, fmt, footer)
 
 
 @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
@@ -722,8 +732,7 @@ def test_sequence_past_the_digit_limit_prints_exact_values(capsys, fmt):
     # at n = 2200.
     ["count", "-m", "2", "-n", "2200", "--from-col", "1", "--from-row", "1",
      "--to-col", "2200", "--to-row", "1"],
-    ["table", "--kind", "d1", "-m", "2", "-n", "2200", "--format", "csv"],
-], ids=["count", "table"])
+], ids=["count"])
 def test_digit_limit_refusal_is_the_clis_own_message(capsys, command):
     # The message names the limit in the same words on every interpreter,
     # rather than passing on CPython's own text.
@@ -735,23 +744,25 @@ def test_digit_limit_refusal_is_the_clis_own_message(capsys, command):
                    "past the int->str conversion limit\n")
 
 
-def test_only_sequence_loads_decimal():
-    # --help, count and table print ints; only sequence needs Decimal.
-    code = (
-        "import sys\n"
-        "from tablepaths.cli import main\n"
-        "main(['--help'])\n"
-        "main(['count', '-m', '2', '-n', '3', '--from-col', '1', '--from-row',"
-        " '1', '--to-col', '3', '--to-row', '1'])\n"
-        "main(['table', '--kind', 'd1', '-m', '2', '-n', '3'])\n"
-        "print('decimal' in sys.modules, file=sys.stderr)\n"
-        "main(['sequence', '--target', 'imn-fixed-m', '-m', '2', '--max-n', '3'])\n"
-        "print('decimal' in sys.modules, file=sys.stderr)\n"
-    )
+def test_only_table_and_sequence_load_decimal():
+    # --help and count print ints; table and sequence march on Decimals.
     src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src))
-    assert (proc.returncode, proc.stderr) == (0, "False\nTrue\n")
+    for command in (["table", "--kind", "d1", "-m", "2", "-n", "3"],
+                    ["sequence", "--target", "imn-fixed-m", "-m", "2",
+                     "--max-n", "3"]):
+        code = (
+            "import sys\n"
+            "from tablepaths.cli import main\n"
+            "main(['--help'])\n"
+            "main(['count', '-m', '2', '-n', '3', '--from-col', '1', '--from-row',"
+            " '1', '--to-col', '3', '--to-row', '1'])\n"
+            "print('decimal' in sys.modules, file=sys.stderr)\n"
+            f"main({command!r})\n"
+            "print('decimal' in sys.modules, file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert (proc.returncode, proc.stderr) == (0, "False\nTrue\n"), command
 
 
 def test_footer_misuse_is_rejected_before_the_table_is_built(capsys, monkeypatch):
@@ -769,16 +780,16 @@ def test_footer_misuse_is_rejected_before_the_table_is_built(capsys, monkeypatch
 
 
 def test_footer_builds_the_start_row_one_table_once(capsys, monkeypatch):
-    builds = []
+    marches, real = [], dp._columns
 
-    def counted(dims, start_row):
-        builds.append((dims, start_row))
-        return di_table(dims, start_row)
+    def counted(*args, **kwargs):
+        marches.append(args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli.dp, "di_table", counted)
+    monkeypatch.setattr(cli.dp, "_columns", counted)
     code, _, _ = run_cli(capsys, "table", "--kind", "d1", "-m", "5", "-n", "10",
                          "--hss-footer")
-    assert code == 0 and builds == [(TableDims(5, 10), 1)]
+    assert code == 0 and marches == [("di_table", 5, 10, 1)]
 
 
 @pytest.mark.parametrize("argv", [

@@ -246,6 +246,37 @@ def test_decimal_march_raises_rather_than_rounds(family):
     assert rounded[-1] != getattr(dp, family)(8, 100)[-1]
 
 
+@pytest.mark.parametrize("family, start", [("di_table", (1,)), ("d_table", ()),
+                                           ("h_table", ()), ("a_table", ())],
+                         ids=["di_table", "d_table", "h_table", "a_table"])
+def test_decimal_table_march_equals_the_int_table(family, start):
+    # In a context that cannot round, the Decimal columns are the int
+    # table's; every family passes the default 28 digits by column 120,
+    # where the trapped Rounded or Inexact raises instead.
+    rows = cols = 120
+    want = dp.build(family, rows, cols, *start).columns()
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+        got = dp._columns(family, rows, cols, *start, one=decimal.Decimal(1))
+        assert [tuple(map(int, col)) for col in got] == list(want)
+        ctx.prec = 28
+        with pytest.raises((decimal.Rounded, decimal.Inexact)):
+            list(dp._columns(family, rows, cols, *start, one=decimal.Decimal(1)))
+
+
+@pytest.mark.parametrize("args, message", [
+    (("bogus", 3, 3), "unknown table family 'bogus'"),
+    (("di_table", 0, 3, 9), "table dimensions must be positive, got 0x3"),
+    (("di_table", 3, 3, 4), r"start row 4 outside \[1, 3\]"),
+    (("a_table", 3, 4), "kind 'a' is a square family"),
+], ids=["family", "dims", "start-row", "square"])
+def test_columns_check_at_the_call_before_any_march(args, message):
+    # Errors raise when the columns are asked for, not at the first one.
+    with pytest.raises(ValueError, match=message):
+        dp._columns(*args)
+
+
 def test_free_count_examples():
     assert free_count(0, 2) == 3
     assert free_count(1, 1) == 1
@@ -342,7 +373,7 @@ def test_5x10_recomputed_values_confirmed_by_enumeration():
 
 def test_5x10_footer_recomputed_values_confirmed_by_enumeration():
     dims = TableDims(5, 10)
-    assert hss_values(di_table(dims, 1)) == TABLE2_HSS_RECOMPUTED
+    assert hss_values(di_table(dims, 1).columns()) == TABLE2_HSS_RECOMPUTED
     # Footer entry s is the number of paths from (1,1) across s columns;
     # enumerate them directly for the two contested entries.
     h = h_table(dims)
@@ -359,7 +390,7 @@ def test_hss_values_read_the_capped_diagonal_of_h():
     for rows, cols in [(1, 1), (1, 6), (6, 1), (3, 9), (9, 3), (5, 10)]:
         dims = TableDims(rows, cols)
         h = h_table(dims)
-        assert hss_values(di_table(dims, 1)) == [
+        assert hss_values(di_table(dims, 1).columns()) == [
             h.get(s, min(s, rows)) for s in range(1, cols + 1)
         ]
 

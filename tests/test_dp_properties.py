@@ -3,8 +3,9 @@
 Every family ``dp.build`` makes must agree cell by cell with oracle
 counts, the engine's pair, whole-table and free counts must equal the
 brute counts, every CLI table kind's csv and json output must list
-the cells of the table ``dp.build`` returns, each once, and every CLI
-sequence must print the int march's values.  Settings are
+the cells of the table ``dp.build`` returns, each once, every CLI table
+must print the text of that table, and every CLI sequence must print
+the int march's values.  Settings are
 fixed (derandomized, bounded examples) so runs repeat.
 """
 
@@ -26,7 +27,7 @@ from tablepaths.oracle import (
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
-from test_cli import _joined_sequence, int_digit_limit  # noqa: E402
+from test_cli import _joined_sequence, _table_text, int_digit_limit  # noqa: E402
 
 FIXED = settings(
     derandomize=True, max_examples=60, deadline=None, database=None
@@ -151,3 +152,23 @@ def test_sequence_output_is_the_int_march_text(target, rows, max_n, fmt):
     with int_digit_limit(0):
         want = _joined_sequence(target, rows, values, fmt)
     assert (code, out.getvalue()) == (0, want)
+
+
+@FIXED
+@given(st.sampled_from(sorted(cli.TABLE_KINDS)), st.sampled_from(cli.FORMATS),
+       st.booleans(), st.integers(1, 20), st.integers(1, 60))
+@example("d", "csv", False, 20, 60)
+@example("h", "json", False, 20, 60)
+@example("d1", "markdown", True, 20, 60)
+def test_table_output_is_the_int_table_text(kind, fmt, footer, rows, cols):
+    # At 60 columns the values pass Decimal's default 28 digits.
+    if kind == "a":
+        cols = rows  # a square family
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["table", "--kind", kind, "-m", str(rows), "-n", str(cols),
+                         "--format", fmt, *["--hss-footer"] * footer])
+    if footer and (kind, fmt) != ("d1", "markdown"):
+        assert (code, out.getvalue()) == (1, "")
+        return
+    assert (code, out.getvalue()) == (0, _table_text(kind, rows, cols, fmt, footer))
