@@ -89,6 +89,31 @@ def test_table_dims_validation():
     assert TableDims(2, 3).contains(Cell(3, 2))
     assert not TableDims(2, 3).contains(Cell(4, 1))
     assert not TableDims(2, 3).contains(Cell(1, 0))
+    with pytest.raises(ValueError) as err:
+        TableDims(0, -1)
+    assert str(err.value) == "table dimensions must be positive, got 0x-1"
+
+
+@pytest.mark.parametrize("value, fields, text", [
+    (TableDims(2, 3), ("rows", "cols"), "TableDims(rows=2, cols=3)"),
+    (Cell(2, 3), ("col", "row"), "Cell(col=2, row=3)"),
+], ids=["TableDims", "Cell"])
+def test_dims_and_cell_are_frozen_values(value, fields, text):
+    # Equal to, and hashed as, a value of the same class with the same
+    # fields; never equal to another class or to the bare tuple.
+    kind = type(value)
+    same = kind(**dict(zip(fields, (2, 3))))
+    assert value == same and hash(value) == hash(same) == hash((2, 3))
+    assert value != kind(3, 2) and value != (2, 3) and not value == (2, 3)
+    assert TableDims(2, 3) != Cell(2, 3) and Cell(2, 3) != TableDims(2, 3)
+    assert len({TableDims(2, 3), Cell(2, 3), value, same}) == 2
+    assert repr(value) == text
+    for name in fields + ("other",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 5)
+    with pytest.raises(AttributeError):
+        delattr(value, fields[0])
+    assert tuple(getattr(value, name) for name in fields) == (2, 3)
 
 
 def test_count_matrix_shape_and_access():

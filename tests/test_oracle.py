@@ -30,6 +30,46 @@ def test_filter_validation():
     assert WordFilter(alphabet="du").alphabet == "ud"
 
 
+@pytest.mark.parametrize("alphabet, canonical", [
+    ("urd", "urd"), ("dru", "urd"), ("du", "ud"), ("dd", "d"), ("rdrd", "rd"),
+])
+def test_filter_alphabet_is_canonical(alphabet, canonical):
+    assert WordFilter(alphabet=alphabet).alphabet == canonical
+    assert WordFilter(alphabet=alphabet) == WordFilter(alphabet=canonical)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"alphabet": ""}, "alphabet must be a nonempty subset of 'urd'"),
+    ({"alphabet": "uX"}, "alphabet must be a nonempty subset of 'urd'"),
+    ({"floor": 3, "ceiling": 1}, "floor above ceiling"),
+    ({"end_row": 2, "net_displacement": 1},
+     "end_row and net_displacement are mutually exclusive"),
+])
+def test_filter_errors(kwargs, message):
+    with pytest.raises(ValueError) as err:
+        WordFilter(**kwargs)
+    assert str(err.value) == message
+
+
+def test_filter_is_a_frozen_value():
+    filt = WordFilter(alphabet="du", start_row=3)
+    same = WordFilter("ud", 3, None, None, None, None)
+    fields = ("ud", 3, None, None, None, None)
+    assert filt == same and hash(filt) == hash(same) == hash(fields)
+    assert filt != WordFilter(start_row=3) and filt != fields
+    assert repr(filt) == ("WordFilter(alphabet='ud', start_row=3, floor=None, "
+                          "ceiling=None, end_row=None, net_displacement=None)")
+    confined = WordFilter.in_table(TableDims(4, 9), start_row=2, end_row=1)
+    assert repr(confined) == ("WordFilter(alphabet='urd', start_row=2, floor=1, "
+                              "ceiling=4, end_row=1, net_displacement=None)")
+    for name in ("alphabet", "start_row", "net_displacement", "other"):
+        with pytest.raises(AttributeError):
+            setattr(filt, name, 1)
+    with pytest.raises(AttributeError):
+        del filt.floor
+    assert filt == same and filt.alphabet == "ud"
+
+
 def test_enumerate_requires_anchor_row():
     with pytest.raises(ValueError):
         list(enumerate_words(2, WordFilter()))
