@@ -10,6 +10,11 @@ is marched, and markdown, which prints rows, keeps each column's text.
 Nothing goes through the memo ``dp.cached``, so no big table outlives
 its request.
 
+Every request is a fresh process, so each command imports only what it
+runs: all of them load ``dp`` and ``core``, ``table`` and ``sequence``
+add ``decimal``, ``words`` adds ``oracle``, and ``verify`` adds
+``verify`` and ``formulas``, plus ``json`` for its json report.
+
 Exit codes: 0 success, 1 usage or resource error (a size too large to
 allocate included, and a ``count`` value past the int->str digit
 limit), 2 verification mismatch.  All values are printed as decimal
@@ -24,17 +29,17 @@ digit limit; only ``count`` meets it.  Lists are written in batches:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import contextmanager
 from itertools import chain, count, islice
 from typing import Iterable, Optional, Sequence, TextIO
 
-from . import dp, oracle, verify
+from . import dp
 from .core import Cell, TableDims
 
 CAP_ENV_VAR = "TABLEPATHS_ORACLE_CAP"
+CAP_AXES = ("m", "n", "s", "y", "k")  # verify's default-domain axes, option order
 FORMATS = ("csv", "json", "markdown")
 LIST_FORMATS = ("plain", "csv", "json")  # sequence values and words
 TABLE_KINDS = {"d1": ("di_table", 1), "d": ("d_table",), "a": ("a_table",),
@@ -131,7 +136,7 @@ def render_table_csv(out: TextIO, dims: TableDims, columns: Iterable) -> None:
 def render_table_json(out: TextIO, dims: TableDims, columns: Iterable,
                       kind: str) -> None:
     head = (f'  "dims": {{\n    "rows": {dims.rows},\n    "cols": {dims.cols}\n'
-            f'  }},\n  "kind": {json.dumps(kind)},\n')
+            f'  }},\n  "kind": "{kind}",\n')  # a TABLE_KINDS key: no escaping
     mids = [f'{t},\n      "' for t in range(1, dims.rows + 1)]
 
     def chunk(s, col):  # the column's entries, each [s, t, "value"]
@@ -238,6 +243,8 @@ def _render_verify_csv(reports) -> str:
 
 def _render_verify_json(reports, all_ok: bool) -> str:
     """Every report field as json; big counts appear as decimal strings."""
+    import json  # loaded only by verify --format json
+
     entries = []
     for rep in reports:
         spec, ce = rep.spec, rep.first_counterexample
@@ -252,7 +259,9 @@ def _render_verify_json(reports, all_ok: bool) -> str:
 
 
 def _cmd_verify(args) -> int:
-    caps = {axis: getattr(args, f"max_{axis}") for axis in verify.CAP_AXES}
+    from . import verify
+
+    caps = {axis: getattr(args, f"max_{axis}") for axis in CAP_AXES}
     overrides = {axis: cap for axis, cap in caps.items() if cap is not None}
     if args.identity == "all":
         specs = verify.default_suite(overrides)
@@ -273,7 +282,7 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_cap(flag_value: Optional[int]) -> int:
+def _resolve_cap(flag_value: Optional[int], default: int) -> int:
     if flag_value is not None:
         return flag_value
     env = os.environ.get(CAP_ENV_VAR)
@@ -282,10 +291,12 @@ def _resolve_cap(flag_value: Optional[int]) -> int:
             return int(env)
         except ValueError as exc:
             raise UsageError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from exc
-    return oracle.DEFAULT_CAP
+    return default
 
 
 def _cmd_words(args) -> int:
+    from . import oracle
+
     floor, ceiling = args.floor, args.ceiling
     if args.rows is not None:
         if floor is not None or ceiling is not None:
@@ -312,7 +323,7 @@ def _cmd_words(args) -> int:
         end_row=args.end,
         net_displacement=args.net,
     )
-    cap = _resolve_cap(args.cap)
+    cap = _resolve_cap(args.cap, oracle.DEFAULT_CAP)
     sep = "," if args.format == "csv" else " "
 
     def line(w) -> str:  # digits like 121 when unambiguous, else comma-joined
@@ -372,7 +383,7 @@ def build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="run the identity suite")
     p_verify.add_argument("--identity", default="all")
-    for axis in verify.CAP_AXES:
+    for axis in CAP_AXES:
         p_verify.add_argument(f"--max-{axis}", type=int)
     p_verify.add_argument("--format", choices=FORMATS, default="markdown")
     p_verify.set_defaults(func=_cmd_verify)
@@ -396,6 +407,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _cap_exceeded() -> type:
+    from .oracle import CapExceededError
+
+    return CapExceededError
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -404,9 +421,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (UsageError, oracle.CapExceededError, ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except MemoryError:  # carries no text
         print("error: out of memory", file=sys.stderr)
         return 1
@@ -415,6 +429,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Point stdout at devnull, so that the flush at interpreter exit
         # cannot fail a second time, and exit 1 with no message.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (UsageError, ValueError, OverflowError, _cap_exceeded()) as exc:
+        # An except clause is evaluated only when an exception reaches
+        # it, so a run that succeeds never loads oracle here.
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

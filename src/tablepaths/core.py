@@ -15,7 +15,6 @@ All values here are immutable after construction (``LatticeWord`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterator, Sequence
 
@@ -24,33 +23,64 @@ LETTERS = "urd"
 STEP_RISE = {"u": 1, "r": 0, "d": -1}
 
 
-@dataclass(frozen=True)
-class TableDims:
+class _Value:
+    """A slotted, immutable value: equal to, and hashed as, a value of its
+    own class with equal ``_fields``, and shown as ``Name(field=value, ...)``.
+    ``__init__`` sets the fields through ``_set``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class TableDims(_Value):
     """Table geometry: ``rows`` horizontal rows by ``cols`` columns."""
 
-    rows: int
-    cols: int
+    __slots__ = _fields = ("rows", "cols")
 
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(
-                f"table dimensions must be positive, got {self.rows}x{self.cols}"
-            )
+    def __init__(self, rows: int, cols: int) -> None:
+        if rows < 1 or cols < 1:
+            raise ValueError(f"table dimensions must be positive, got {rows}x{cols}")
+        self._set(rows, cols)
 
     def contains(self, cell: "Cell") -> bool:
         return 1 <= cell.col <= self.cols and 1 <= cell.row <= self.rows
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(_Value):
     """1-based (column, row) position.
 
     Rows 0 and rows+1 denote the virtual boundary rows used in leak-out
     arguments; they are never stored in a table.
     """
 
-    col: int
-    row: int
+    __slots__ = _fields = ("col", "row")
+
+    def __init__(self, col: int, row: int) -> None:
+        self._set(col, row)
 
 
 def check_pair(dims: TableDims, start: Cell, end: Cell) -> None:
@@ -68,8 +98,7 @@ def check_pair(dims: TableDims, start: Cell, end: Cell) -> None:
         )
 
 
-@dataclass(unsafe_hash=True, slots=True)
-class LatticeWord:
+class LatticeWord(_Value):
     """A word over the letters u, r, d together with its starting row.
 
     The induced row sequence is start_row, then one entry per letter,
@@ -77,14 +106,16 @@ class LatticeWord:
     ("1,2,1").  Words compare and hash on (letters, start_row).
     """
 
-    letters: str
-    start_row: int = 1
-    trace: str = field(init=False, compare=False, repr=False)
+    __slots__ = ("letters", "start_row", "trace")
+    _fields = ("letters", "start_row")
+    # Immutable by convention only: the oracle fills in the words it lists.
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
 
-    def __post_init__(self) -> None:
-        bad = set(self.letters) - set(LETTERS)
+    def __init__(self, letters: str, start_row: int = 1) -> None:
+        bad = set(letters) - set(LETTERS)
         if bad:
             raise ValueError(f"letters must be from 'urd', got {sorted(bad)!r}")
+        self.letters, self.start_row = letters, start_row
         self.trace = ",".join(map(str, row_trace(self)))
 
     def __len__(self) -> int:

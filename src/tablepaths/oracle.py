@@ -13,10 +13,9 @@ a word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import LETTERS, STEP_RISE, Cell, LatticeWord, TableDims, check_pair
+from .core import LETTERS, STEP_RISE, Cell, LatticeWord, TableDims, _Value, check_pair
 
 DEFAULT_CAP = 14
 
@@ -32,8 +31,7 @@ def _check_cap(amount: int, cap: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class WordFilter:
+class WordFilter(_Value):
     """Conditions a yielded word must satisfy.
 
     ``floor``/``ceiling`` bound every visited row (a table with r rows
@@ -42,27 +40,28 @@ class WordFilter:
     exclusive; with neither, the enumeration is full.
     """
 
-    alphabet: str = LETTERS
-    start_row: Optional[int] = None
-    floor: Optional[int] = None
-    ceiling: Optional[int] = None
-    end_row: Optional[int] = None
-    net_displacement: Optional[int] = None
+    __slots__ = _fields = ("alphabet", "start_row", "floor", "ceiling", "end_row",
+                           "net_displacement")
 
-    def __post_init__(self) -> None:
-        bad = set(self.alphabet) - set(LETTERS)
-        if bad or not self.alphabet:
+    def __init__(
+        self,
+        alphabet: str = LETTERS,
+        start_row: Optional[int] = None,
+        floor: Optional[int] = None,
+        ceiling: Optional[int] = None,
+        end_row: Optional[int] = None,
+        net_displacement: Optional[int] = None,
+    ) -> None:
+        bad = set(alphabet) - set(LETTERS)
+        if bad or not alphabet:
             raise ValueError("alphabet must be a nonempty subset of 'urd'")
+        if floor is not None and ceiling is not None and floor > ceiling:
+            raise ValueError("floor above ceiling")
+        if end_row is not None and net_displacement is not None:
+            raise ValueError("end_row and net_displacement are mutually exclusive")
         # Canonicalize letter order so enumeration order is stable.
-        canonical = "".join(c for c in LETTERS if c in set(self.alphabet))
-        object.__setattr__(self, "alphabet", canonical)
-        if self.floor is not None and self.ceiling is not None:
-            if self.floor > self.ceiling:
-                raise ValueError("floor above ceiling")
-        if self.end_row is not None and self.net_displacement is not None:
-            raise ValueError(
-                "end_row and net_displacement are mutually exclusive"
-            )
+        canonical = "".join(c for c in LETTERS if c in alphabet)
+        self._set(canonical, start_row, floor, ceiling, end_row, net_displacement)
 
     @classmethod
     def in_table(

@@ -38,7 +38,6 @@ FAIL = "FAIL"
 DOCUMENTED_FAILURE = "DOCUMENTED-FAILURE"
 DOCUMENTED_FAILURE_CONFIRMED = "DOCUMENTED-FAILURE-CONFIRMED"
 
-CAP_AXES = ("m", "n", "s", "y", "k")  # every default-domain axis, CLI order
 _FORMULAS = vars(formulas)  # read by name at every point, so patches apply
 
 

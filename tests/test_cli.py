@@ -325,12 +325,24 @@ def test_words_empty_word_marker(capsys):
 
 
 def test_words_cap_resource_error(capsys):
-    code, _, err = run_cli(capsys, "words", "--length", "15", "--start", "1")
-    assert code == 1 and "cap 14" in err
+    code, out, err = run_cli(capsys, "words", "--length", "15", "--start", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: word length 15 exceeds enumeration cap 14\n"
     code, _, err = run_cli(
         capsys, "words", "--length", "5", "--start", "1", "--cap", "4"
     )
     assert code == 1 and "cap 4" in err
+
+
+def test_only_the_cap_error_of_the_runtime_errors_is_caught(monkeypatch):
+    # main names the oracle's CapExceededError, not RuntimeError.
+    def broken(*args):
+        raise RuntimeError("not a cap")
+
+    monkeypatch.setattr(cli.dp, "bounded_pair_count", broken)
+    with pytest.raises(RuntimeError, match="not a cap"):
+        cli.main(["count", "-m", "2", "-n", "3", "--from-col", "1", "--from-row",
+                  "1", "--to-col", "3", "--to-row", "1"])
 
 
 def test_words_cap_env_var(capsys, monkeypatch):
@@ -744,25 +756,42 @@ def test_digit_limit_refusal_is_the_clis_own_message(capsys, command):
                    "past the int->str conversion limit\n")
 
 
-def test_only_table_and_sequence_load_decimal():
-    # --help and count print ints; table and sequence march on Decimals.
+WATCHED_MODULES = ("tablepaths.verify", "tablepaths.formulas", "tablepaths.oracle",
+                   "json", "decimal", "dataclasses", "inspect")
+TABLE_ARGV = ["table", "--kind", "d1", "-m", "2", "-n", "3"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["--help"], []),
+    (["count", "-m", "2", "-n", "3", "--from-col", "1", "--from-row", "1",
+      "--to-col", "3", "--to-row", "1"], []),
+    (TABLE_ARGV, ["decimal"]),
+    (TABLE_ARGV + ["--format", "csv"], ["decimal"]),
+    (TABLE_ARGV + ["--format", "json"], ["decimal"]),
+    (["sequence", "--target", "imn-fixed-m", "-m", "2", "--max-n", "3"], ["decimal"]),
+    (["words", "--length", "3", "--start", "1"], ["tablepaths.oracle"]),
+    (["verify", "--identity", "CATALAN-EDGE"],
+     ["tablepaths.formulas", "tablepaths.verify"]),
+    (["verify", "--identity", "CATALAN-EDGE", "--format", "json"],
+     ["json", "tablepaths.formulas", "tablepaths.verify"]),
+], ids=["help", "count", "table-markdown", "table-csv", "table-json", "sequence",
+        "words", "verify-markdown", "verify-json"])
+def test_each_command_loads_only_what_it_runs(argv, loaded):
+    # A fresh interpreter without site runs one command; of the watched
+    # modules it may load only those it uses.  No command loads
+    # dataclasses: the package's value types are plain slotted classes.
     src = str(Path(cli.__file__).resolve().parents[1])
-    for command in (["table", "--kind", "d1", "-m", "2", "-n", "3"],
-                    ["sequence", "--target", "imn-fixed-m", "-m", "2",
-                     "--max-n", "3"]):
-        code = (
-            "import sys\n"
-            "from tablepaths.cli import main\n"
-            "main(['--help'])\n"
-            "main(['count', '-m', '2', '-n', '3', '--from-col', '1', '--from-row',"
-            " '1', '--to-col', '3', '--to-row', '1'])\n"
-            "print('decimal' in sys.modules, file=sys.stderr)\n"
-            f"main({command!r})\n"
-            "print('decimal' in sys.modules, file=sys.stderr)\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=dict(os.environ, PYTHONPATH=src))
-        assert (proc.returncode, proc.stderr) == (0, "False\nTrue\n"), command
+    code = (
+        "import os, sys\n"
+        "from tablepaths.cli import main\n"
+        "sys.stdout = open(os.devnull, 'w')\n"
+        f"code = main({argv!r})\n"
+        f"print(code, sorted(m for m in {WATCHED_MODULES!r} if m in sys.modules),"
+        " file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stderr) == (0, f"0 {loaded!r}\n")
 
 
 def test_footer_misuse_is_rejected_before_the_table_is_built(capsys, monkeypatch):

@@ -3,10 +3,9 @@ import hashlib
 import pytest
 
 from tablepaths import dp, formulas
-from tablepaths.cli import _render_verify_json
+from tablepaths.cli import CAP_AXES, _render_verify_json
 from tablepaths.core import TableDims
 from tablepaths.verify import (
-    CAP_AXES,
     IDENTITY_IDS,
     IdentitySpec,
     calibrate_domain,
