@@ -183,6 +183,8 @@ def bounded_pair_count(dims: TableDims, start: Cell, end: Cell) -> int:
         return 0
     if low == high:  # one row: only flat steps fit
         return 1
+    if high - low == 1:  # two rows: each step but the last has two choices
+        return 1 << (steps - 1)
     r0, r1 = start.row - low + 1, end.row - low + 1
     up, across = _cycle_walks(2 * (high - low + 2), steps, (abs(r1 - r0), r1 + r0))
     return up - across

@@ -5,10 +5,12 @@ engine or the closed forms, only the step definitions.  One depth-first
 search on an explicit stack, the generator ``enumerate_words``, lists
 every word, and every brute count counts the words it yields.  It prunes
 any prefix that leaves [floor, ceiling] or can no longer reach its
-target row.  It has no recursion limit and keeps one letter buffer and
-one row buffer, so word length is bounded only by the configured cap;
-the rows are joined into the traces once per prefix one letter short of
-a word.
+target row.  The stack stops ``TAIL`` letters short of a word: every
+word ends in one of the admissible endings from its prefix's last row,
+which a memo per start row lists once with their rows as trace text.
+It has no recursion limit and keeps one letter buffer and one row
+buffer, so word length is bounded only by the configured cap; the rows
+are joined into the traces once per prefix the stack stops at.
 """
 
 from __future__ import annotations
@@ -18,6 +20,12 @@ from typing import Iterator, Optional
 from .core import LETTERS, STEP_RISE, Cell, LatticeWord, TableDims, _Value, check_pair
 
 DEFAULT_CAP = 14
+
+# Letters each word takes from the per-row suffix memo instead of the
+# stack: at most 3^4 = 81 endings per row, and the stack pops 3^3 = 27
+# times fewer entries than when it stopped one letter short.  Tails of 3
+# to 6 time alike.
+TAIL = 4
 
 
 class CapExceededError(RuntimeError):
@@ -81,7 +89,9 @@ def enumerate_words(
     lexicographic order with u < r < d and start rows ascending.
 
     The window of admissible rows for each number of letters left is
-    computed once per start row; a prefix outside it is pruned.
+    computed once per start row; a prefix outside it is pruned.  The
+    last ``TAIL`` letters of each word and their rows come from
+    ``_suffixes``, memoized per start row.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
@@ -95,10 +105,11 @@ def enumerate_words(
         )
     else:
         starts = range(floor, ceiling + 1)
-    # Inner prefixes are pushed d, r, u so that u pops first; the last
-    # letter is yielded straight away, u first.
-    lasts = [(ch, STEP_RISE[ch]) for ch in filt.alphabet]
-    pushes = [(ord(ch), rise) for ch, rise in reversed(lasts)]
+    # Prefixes are pushed d, r, u so that u pops first.
+    steps = [(ch, STEP_RISE[ch]) for ch in filt.alphabet]
+    pushes = [(ord(ch), rise) for ch, rise in reversed(steps)]
+    tail = min(TAIL, length)
+    cut = length - tail  # the depth at which the stack stops
     new = LatticeWord.__new__  # the search's letters and rows need no checks
     for start in starts:
         target = filt.end_row
@@ -112,32 +123,43 @@ def enumerate_words(
             highs = [min(high, target + left) for left in range(length + 1)]
         if not lows[length] <= start <= highs[length]:
             continue
-        if not length:
-            word = new(LatticeWord)
-            word.letters, word.start_row, word.trace = "", start, str(start)
-            yield word
-            continue
-        buf = bytearray(length)  # letters 1..depth of the prefix; buf[0] unused
-        rows = [""] * length  # rows 0..depth of the prefix, as text
+        memo: dict = {}  # the windows depend on the start, so the memo does too
+        buf = bytearray(cut + 1)  # letters 1..depth of the prefix; buf[0] unused
+        rows = [""] * (cut + 1)  # rows 0..depth of the prefix, as text
         stack = [(0, start, 0)]  # (depth, row, letter that pops into buf[depth])
         push = stack.append
         while stack:
             depth, row, buf[depth] = stack.pop()
             rows[depth] = str(row)
-            left = length - depth - 1
-            lo, hi = lows[left], highs[left]
-            if left:
+            if depth < cut:
+                left = length - depth - 1
+                lo, hi = lows[left], highs[left]
                 for code, rise in pushes:
                     if lo <= (nxt := row + rise) <= hi:
                         push((depth + 1, nxt, code))
             else:
-                prefix, head = buf[1:].decode(), ",".join(rows) + ","
-                for ch, rise in lasts:
-                    if lo <= row + rise <= hi:
-                        word = new(LatticeWord)
-                        word.letters, word.start_row = prefix + ch, start
-                        word.trace = head + str(row + rise)
-                        yield word
+                prefix, head = buf[1:].decode(), ",".join(rows)
+                for letters, text in _suffixes(row, tail, steps, lows, highs, memo):
+                    word = new(LatticeWord)
+                    word.letters, word.start_row = prefix + letters, start
+                    word.trace = head + text
+                    yield word
+
+
+def _suffixes(row, left, steps, lows, highs, memo):
+    """Every admissible ``left``-letter ending from ``row`` as (letters,
+    ",r1,...,rk" trace text), in u < r < d order, memoized on (row, left)."""
+    if not left:
+        return [("", "")]
+    key = (row, left)
+    if key not in memo:
+        lo, hi = lows[left - 1], highs[left - 1]
+        memo[key] = [
+            (ch + letters, f",{nxt}{text}")
+            for ch, rise in steps if lo <= (nxt := row + rise) <= hi
+            for letters, text in _suffixes(nxt, left - 1, steps, lows, highs, memo)
+        ]
+    return memo[key]
 
 
 def brute_pair_count(

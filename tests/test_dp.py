@@ -193,6 +193,22 @@ def test_bounded_pair_count_at_a_huge_height():
     assert bounded_pair_count(dims, Cell(1, 5 * 10**9), Cell(3, 5 * 10**9)) == 3
 
 
+def test_bounded_pair_count_on_two_rows_is_a_power_of_two():
+    # The strip is cut to two rows at height 2, and one step from a wall
+    # at any height; the count is then 2^(L-1), checked here against the
+    # reflection on the cycle of 2(2 + 1) rows.
+    cases = [(2, r0, steps) for r0 in (1, 2) for steps in range(1, 40)]
+    cases += [(m, r0, 1) for m in (3, 7, 10**10) for r0 in (1, m)]
+    for m, r0, steps in cases:
+        low = min(r0, m - 1)
+        for r1 in (low, low + 1):
+            a, b = r0 - low + 1, r1 - low + 1
+            up, across = dp._cycle_walks(6, steps, (abs(b - a), a + b))
+            dims = TableDims(m, steps + 1)
+            got = bounded_pair_count(dims, Cell(1, r0), Cell(steps + 1, r1))
+            assert got == up - across == 1 << (steps - 1), (m, r0, steps, r1)
+
+
 def test_imn_examples():
     assert imn(TableDims(2, 3)) == 8
     assert imn(TableDims(1, 9)) == 1

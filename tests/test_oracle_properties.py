@@ -20,12 +20,30 @@ from tablepaths.oracle import (
 )
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 FIXED = settings(
     derandomize=True, max_examples=100, deadline=None, database=None
 )
 ROWS = st.integers(-3, 4)
+
+# Lengths on both sides of the search's memoized tail, over confined rows
+# with no start row, so that several start rows run; with a net
+# displacement each start has its own target row.
+TAIL_EDGES = [
+    (WordFilter(floor=-1, ceiling=2, net_displacement=1), 3),
+    (WordFilter(floor=0, ceiling=3, net_displacement=-1), 5),
+    (WordFilter(alphabet="ud", floor=-2, ceiling=1, net_displacement=0), 4),
+    (WordFilter(alphabet="ud", floor=1, ceiling=4, end_row=2), 6),
+    (WordFilter(floor=-3, ceiling=0, end_row=-1), 4),
+    (WordFilter(floor=1, ceiling=3, net_displacement=1), 6),
+]
+
+
+def tail_edges(test):
+    for filt, length in TAIL_EDGES:
+        test = example(filt, length)(test)
+    return test
 
 
 def by_definition(length, filt):
@@ -68,6 +86,7 @@ def word_filters(draw):
 
 @FIXED
 @given(word_filters(), st.integers(0, 6))
+@tail_edges
 def test_listing_is_the_filtered_product(filt, length):
     got = [(w.start_row, w.letters) for w in enumerate_words(length, filt)]
     assert got == list(by_definition(length, filt))
@@ -75,6 +94,7 @@ def test_listing_is_the_filtered_product(filt, length):
 
 @FIXED
 @given(word_filters(), st.integers(0, 6))
+@tail_edges
 def test_listed_traces_are_the_visited_rows(filt, length):
     # Rows recomputed from the letters and their rises, not by row_trace.
     for word in enumerate_words(length, filt):
