@@ -26,7 +26,8 @@ STEP_RISE = {"u": 1, "r": 0, "d": -1}
 class _Value:
     """A slotted, immutable value: equal to, and hashed as, a value of its
     own class with equal ``_fields``, and shown as ``Name(field=value, ...)``.
-    ``__init__`` sets the fields through ``_set``."""
+    ``__init__`` sets the fields through ``_set``, or through the slots'
+    own setters where construction is hot (``TableDims``, ``Cell``)."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -64,7 +65,8 @@ class TableDims(_Value):
     def __init__(self, rows: int, cols: int) -> None:
         if rows < 1 or cols < 1:
             raise ValueError(f"table dimensions must be positive, got {rows}x{cols}")
-        self._set(rows, cols)
+        _set_rows(self, rows)
+        _set_cols(self, cols)
 
     def contains(self, cell: "Cell") -> bool:
         return 1 <= cell.col <= self.cols and 1 <= cell.row <= self.rows
@@ -80,7 +82,13 @@ class Cell(_Value):
     __slots__ = _fields = ("col", "row")
 
     def __init__(self, col: int, row: int) -> None:
-        self._set(col, row)
+        _set_col(self, col)
+        _set_row(self, row)
+
+
+# Each slot's own setter: one call per field, where ``_set`` loops.
+_set_rows, _set_cols = TableDims.rows.__set__, TableDims.cols.__set__
+_set_col, _set_row = Cell.col.__set__, Cell.row.__set__
 
 
 def check_pair(dims: TableDims, start: Cell, end: Cell) -> None:

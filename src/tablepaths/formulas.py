@@ -4,11 +4,18 @@ start-row-1 tables.
 Each function evaluates one identity directly; the verifier module owns
 the comparisons.  The forms behind D1-SPLIT, INNER-PRODUCT, S2 and
 H-SQUARE read ``dp.di_table``/``dp.d_table`` entries through
-``dp.cached``, the memo their engine sides read too, so those
+``dp.cached``, the table memo their engine sides read too, so those
 identities check relations among engine-table entries; the brute-force
-oracle is the independent side.  Rational forms divide exactly; a
-nonzero remainder would mean a transcription bug, so it raises instead
-of rounding.
+oracle is the independent side.  Two private value memos answer
+repeated points: ``_d_boundary_value`` keyed on (m, s, t, bottom start,
+top start), which leaves out the width since D(s, t) does not depend on
+it, and ``_s_free_sum`` keyed on (|x|, y, pinned), which the S-FREE
+pair and S2 share.  Both are ``lru_cache``s bounded at ``_MEMO_SIZE``
+entries; every public call still runs its own argument checks before
+reading them.
+
+Rational forms divide exactly; a nonzero remainder would mean a
+transcription bug, so it raises instead of rounding.
 
 Two deliberately wrong variants are kept alongside their corrected
 forms (``d_boundary_printed``, ``s_free_printed``) so the verifier can
@@ -18,9 +25,15 @@ confirm and document their failure with a concrete counterexample.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from . import dp
 from .core import Cell, TableDims, check_pair
+
+# Bound of each value memo below: the doubled grid's D-BOUNDARY keys
+# (3,744 over both variants) fit, so a verify run computes each value
+# once, and a wider grid cycles through a fixed number of entries.
+_MEMO_SIZE = 4096
 
 
 def binomial(n: int, k: int) -> int:
@@ -134,7 +147,14 @@ def _d_boundary(
 ) -> int:
     cell = Cell(s, t)
     check_pair(dims, cell, cell)
-    m = dims.rows
+    return _d_boundary_value(dims.rows, s, t, bottom_start, top_start)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _d_boundary_value(
+    m: int, s: int, t: int, bottom_start: int, top_start: int
+) -> int:
+    # Free of the width: the table's columns only bound the cell check.
     total = 3 ** (s - 1)
     if s > 1:
         d1 = dp.cached("di_table", m, s - 1, 1)
@@ -186,7 +206,11 @@ def i_inner(dims: TableDims, a: int) -> int:
 def _s_free(x: int, y: int, pinned: bool) -> int:
     if y < 0:
         raise ValueError("y must be nonnegative")
-    x = abs(x)
+    return _s_free_sum(abs(x), y, pinned)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _s_free_sum(x: int, y: int, pinned: bool) -> int:
     if x > y:
         return 0
     return sum(

@@ -13,10 +13,12 @@ the suite applies and calibration probes past with an unguarded
 evaluator; a ``sides`` function giving, for one prefix of the outer
 axes, the line of engine values and formula values over the last axis;
 its default domain and expected verdict; and, if it can be calibrated,
-a search box.  Engine tables come from ``dp.cached``, the one memo the
-closed forms read too, at the run's upper bounds; formulas are looked
-up by name at every point, so a wrapped module attribute sees every
-call.
+a search box.  Engine tables come from ``dp.cached``, the table memo
+the closed forms read too, at the run's upper bounds.  Formulas are
+looked up by name at every point, so a wrapped module attribute sees
+every call, and each call runs its own argument checks; ``formulas``
+answers repeated D-BOUNDARY and free-count values from its own bounded
+value memos.
 
 Identity ids ending in ``-PRINTED`` evaluate deliberately retained
 wrong variants; the suite expects those to fail and marks them

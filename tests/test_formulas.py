@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from tablepaths import dp
+from tablepaths import dp, formulas
 from tablepaths.core import Cell, TableDims
 from tablepaths.dp import bounded_pair_count, di_table, imn
 from tablepaths.formulas import (
@@ -175,6 +175,53 @@ def test_d_boundary_printed_overcounts():
     assert d_boundary(TableDims(2, 3), 3, 1) == 4
 
 
+def _clear_value_memos():
+    for value in vars(formulas).values():
+        if hasattr(value, "cache_info"):
+            value.cache_clear()
+
+
+def test_value_memos_never_skip_a_check():
+    _clear_value_memos()
+    # The wide table fills the width-free memo for (m, s, t) = (3, 5, 1);
+    # the narrow one must still reject column 5.
+    assert d_boundary(TableDims(3, 9), 5, 1) == sum(
+        brute_pair_count(TableDims(3, 9), Cell(1, r), Cell(5, 1)) for r in (1, 2, 3)
+    )
+    with pytest.raises(ValueError, match=r"cell \(5,1\) outside 3x4 table"):
+        d_boundary(TableDims(3, 4), 5, 1)
+    # Interleaved at one (m, s, t), the variants differ only in their
+    # start rows; a memo key without them would answer for the other.
+    for dims in (TableDims(2, 3), TableDims(2, 5)):
+        assert d_boundary(dims, 3, 1) == 4
+        assert d_boundary_printed(dims, 3, 1) == 8
+    # Free counts the S2 window has filled still leave every check in place.
+    dims = TableDims(2, 8)
+    assert s2_closed(dims, Cell(1, 1), Cell(4, 1)) == bounded_pair_count(
+        dims, Cell(1, 1), Cell(4, 1)
+    )
+    with pytest.raises(ValueError, match=r"exceeds declared domain rows\+1 = 3"):
+        s2_closed(dims, Cell(1, 1), Cell(5, 1))
+    assert s_free_closed(0, 1) == 1
+    with pytest.raises(ValueError, match="y must be nonnegative"):
+        s_free_closed(0, -1)
+    assert s_free_printed(0, 2) == 4 and s_free_closed(0, 2) == 3
+
+
+def test_value_memos_are_bounded():
+    memos = [v for v in vars(formulas).values() if hasattr(v, "cache_info")]
+    assert len(memos) >= 2
+    assert all(memo.cache_info().maxsize is not None for memo in memos)
+    # More distinct free counts than the bound: the memo stops growing at
+    # its bound and evicted values come back the same.
+    _clear_value_memos()
+    first = [s_free_closed(x, y) for y in range(91) for x in range(y + 1)]
+    info = formulas._s_free_sum.cache_info()
+    assert info.misses == len(first) > info.maxsize == info.currsize
+    assert [s_free_closed(x, y) for y in range(91) for x in range(y + 1)] == first
+    assert s_free_closed(3, 7) == dp.free_count(3, 7)
+
+
 def test_i_inner_examples():
     assert i_inner(TableDims(2, 3), 2) == 8
     assert i_inner(TableDims(3, 5), 3) == 99 == imn(TableDims(3, 5))
@@ -242,6 +289,7 @@ def test_shared_tables_keyed_by_height_and_width():
     # widths, interleaved: a table kept under part of its shape would
     # answer for the wrong one.
     dp.cached.cache_clear()
+    _clear_value_memos()
     for m, n in [(3, 6), (5, 6), (2, 6), (5, 4), (3, 6), (5, 7), (2, 3), (5, 6)]:
         dims = TableDims(m, n)
 

@@ -176,10 +176,19 @@ def _count_engine_builds(monkeypatch) -> list:
     return calls
 
 
+def _clear_memos():
+    """Empty the table memo and every value memo in formulas, so a build
+    count starts from nothing built."""
+    dp.cached.cache_clear()
+    for value in vars(formulas).values():
+        if hasattr(value, "cache_info"):
+            value.cache_clear()
+
+
 def test_engine_tables_built_once_per_shape(monkeypatch):
     calls = _count_engine_builds(monkeypatch)
 
-    dp.cached.cache_clear()
+    _clear_memos()
     run_identity(default_spec("D-BOUNDARY"))
     start_row_1 = [a for name, a in calls if name == "di_table" and a[1] == 1]
     # One per distinct (m, s - 1) the formula reads, 6 x 11; one build
@@ -191,7 +200,7 @@ def test_engine_tables_built_once_per_shape(monkeypatch):
         (TableDims(m, 12),) for m in range(1, 7)
     ]
 
-    dp.cached.cache_clear()
+    _clear_memos()
     calls.clear()
     run_identity(default_spec("S2"))
     assert not [a for name, a in calls if name == "bounded_pair_count"]
@@ -201,7 +210,7 @@ def test_engine_tables_built_once_per_shape(monkeypatch):
         (TableDims(m, m + 2), r0) for m in range(1, 6) for r0 in range(1, m + 1)
     ]
 
-    dp.cached.cache_clear()
+    _clear_memos()
     calls.clear()
     run_identity(default_spec("FLIP-SYMMETRY"))
     # Each line reads start rows i and m + 1 - i, so the order differs.
@@ -213,11 +222,11 @@ def test_engine_tables_built_once_per_shape(monkeypatch):
 
     # H(n, m) and I_m(n) are column sums of tables built once per m, not
     # a prefix-sum table or a march per (m, n).
-    dp.cached.cache_clear()
+    _clear_memos()
     calls.clear()
     run_identity(default_spec("H-SQUARE", DOUBLED_GRID))
     assert [name for name, _ in calls].count("h_table") == 0
-    dp.cached.cache_clear()
+    _clear_memos()
     calls.clear()
     run_identity(default_spec("INNER-PRODUCT", DOUBLED_GRID))
     assert [name for name, _ in calls].count("imn") == 0
@@ -225,7 +234,7 @@ def test_engine_tables_built_once_per_shape(monkeypatch):
     # One engine table per (m, r0) at the widest span, 10, plus one
     # formula-side table per (m, span) with span >= 1, 32; a table per
     # (m, span, r0) would make 212.
-    dp.cached.cache_clear()
+    _clear_memos()
     calls.clear()
     calibrate_domain("S2")
     assert len([a for name, a in calls if name == "di_table"]) <= 42
@@ -238,12 +247,12 @@ def test_flip_symmetry_builds_do_not_grow_with_n(monkeypatch):
     calls = _count_engine_builds(monkeypatch)
     builds = []
     for n in (1, 2):
-        dp.cached.cache_clear()
+        _clear_memos()
         calls.clear()
         report = run_identity(default_spec("FLIP-SYMMETRY", {"m": 130, "n": n}))
         assert report.verdict == "PASS"
         builds.append(len(calls))
-    dp.cached.cache_clear()
+    _clear_memos()
     assert builds[0] == builds[1]
 
 
@@ -278,6 +287,22 @@ def test_doubled_grid_suite():
     assert _json_digest(reports, all_ok) == (
         "4f324ff307ae7eace21acaddfa474788f481cb58bac8066f122b87567a5b5fba"
     )
+
+
+def test_doubled_grid_computes_each_value_once():
+    # 23,400 D-BOUNDARY points hold 1,872 distinct (m, s, t): the table's
+    # width only bounds the cell check, so it is not part of the key.
+    _clear_memos()
+    run_identity(default_spec("D-BOUNDARY", DOUBLED_GRID))
+    info = formulas._d_boundary_value.cache_info()
+    assert info.misses <= 1872 == sum(24 * m for m in range(1, 13))
+    assert info.currsize == info.misses
+    # S2 reads 2 * span + 1 free counts per point; each (|x|, y, pinned)
+    # is summed once, and none is evicted and summed again.
+    _clear_memos()
+    run_identity(default_spec("S2", DOUBLED_GRID))
+    info = formulas._s_free_sum.cache_info()
+    assert info.misses == info.currsize < info.hits
 
 
 def test_reports_serialize_deterministically():
