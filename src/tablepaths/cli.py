@@ -6,7 +6,8 @@ identity suite and ``words`` lists matching lattice words; every form of
 a ``verify`` report (json, markdown, csv) is rendered here.  Kinds and
 targets name ``dp`` families.  A table is streamed from ``dp``'s column
 march, not built by ``dp.build``: csv and json write each column as it
-is marched, and markdown, which prints rows, keeps each column's text.
+is marched, made in one join, so each value's text is copied once, and
+markdown, which prints rows, keeps each column's text.
 Nothing goes through the memo ``dp.cached``, so no big table outlives
 its request.
 
@@ -33,6 +34,7 @@ import os
 import sys
 from contextlib import contextmanager
 from itertools import chain, count, islice
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence, TextIO
 
 from . import dp
@@ -121,15 +123,35 @@ def _decimal(value: int) -> str:
                          "past the int->str conversion limit") from None
 
 
+def _column_text(mids: list[str], end: str):
+    """A function that makes a column's text in one join: row t's text is
+    a prefix (``first`` for row 1, ``between`` after it), ``mids[t-1]``
+    and the value's ``str``; ``end`` closes the column.  The piece list
+    is made once, with ``mids`` and ``end`` in it, and each column
+    assigns only its prefixes and values, so each value's text is copied
+    once, by the join."""
+    pieces = [""] * (3 * len(mids) + 1)
+    pieces[1::3], pieces[-1] = mids, end
+    blanks = pieces[2::3]
+
+    def text(first: str, between: str, col) -> str:
+        pieces[:-1:3] = [between] * len(mids)
+        pieces[0] = first
+        pieces[2::3] = map(str, col)
+        joined = "".join(pieces)
+        pieces[2::3] = blanks  # free the texts before the next column makes its own
+        return joined
+
+    return text
+
+
 def render_table_csv(out: TextIO, dims: TableDims, columns: Iterable) -> None:
-    """One write per column, one join over precomputed row pieces each;
-    the header goes out with column 1."""
-    mids = [f"{t}," for t in range(1, dims.rows + 1)]
+    """One write and one join per column; the header goes out with
+    column 1."""
+    text = _column_text([f"{t}," for t in range(1, dims.rows + 1)], "\n")
     header = "s,t,value\n"
     for s, col in enumerate(columns, start=1):
-        head = f"{s},"
-        out.write(header + head + ("\n" + head).join(
-            map(str.__add__, mids, map(str, col))) + "\n")
+        out.write(text(f"{header}{s},", f"\n{s},", col))
         header = ""
 
 
@@ -137,12 +159,12 @@ def render_table_json(out: TextIO, dims: TableDims, columns: Iterable,
                       kind: str) -> None:
     head = (f'  "dims": {{\n    "rows": {dims.rows},\n    "cols": {dims.cols}\n'
             f'  }},\n  "kind": "{kind}",\n')  # a TABLE_KINDS key: no escaping
-    mids = [f'{t},\n      "' for t in range(1, dims.rows + 1)]
+    text = _column_text([f'{t},\n      "' for t in range(1, dims.rows + 1)],
+                        '"\n    ]')
 
     def chunk(s, col):  # the column's entries, each [s, t, "value"]
         pre = f"    [\n      {s},\n      "
-        return pre + ('"\n    ],\n' + pre).join(
-            map(str.__add__, mids, map(str, col))) + '"\n    ]'
+        return text(pre, '"\n    ],\n' + pre, col)
 
     _write_json(out, head, "entries", map(chunk, count(1), columns))
 
@@ -153,14 +175,17 @@ def render_table_markdown(out: TextIO, dims: TableDims, columns: Iterable,
     # blank, the way the reference tables print them.
     blank_wedge = kind in ("d1", "a")
     cols = dims.cols
-    # Rows are printed, so every column's text is made before the first write.
-    rows = list(zip(*[tuple(map(str, col)) for col in columns]))
+    # Rows are printed, so every column's text is made before the first
+    # write; each row reads its cells from the columns' texts in place.
+    texts = [tuple(map(str, col)) for col in columns]
     out.write("| t\\s | " + " | ".join(map(str, range(1, cols + 1))) + " |\n")
     out.write("|" + " --- |" * (cols + 1) + "\n")
     for t in range(dims.rows, 0, -1):
-        cells = rows[t - 1]
+        cell = itemgetter(t - 1)
         if blank_wedge:
-            cells = chain([""] * min(t - 1, cols), cells[t - 1:])
+            cells = chain([""] * min(t - 1, cols), map(cell, texts[t - 1:]))
+        else:
+            cells = map(cell, texts)
         out.write(f"| {t} | " + " | ".join(cells) + " |\n")
     if footer is not None:
         out.write("| H(s,s) | " + " | ".join(map(str, footer)) + " |\n")

@@ -4,11 +4,15 @@ Every family obeys the same one-column recurrence: the count at (s, t)
 is the sum of the counts at (s-1, t') over the rows t' that can step to
 t.  One generator, ``_march``, holds the only column loop: each family
 starts it from its own first column (a unit column for D^i and A, all
-ones for D and I_m(n)) and marches a dense row vector column by column
-with O(rows) state; full matrices are materialized only when a
-CountMatrix is requested.  ``_columns`` is the one switch from a family
-name to a first column and a step: the CLI's ``table`` streams its
-columns, and the four table builders wrap them in a CountMatrix.
+ones for D and I_m(n)) and marches a row vector column by column with
+O(rows) state; full matrices are materialized only when a CountMatrix
+is requested.  A march from a unit column advances only its band: the
+rows within s-1 of the start row, all that a path can reach by column
+s, as every other row is zero.  Each step is a kernel that adds whole
+shifted columns with ``map(add, ...)``, so its loop over rows runs in
+C.  ``_columns`` is the one switch from a family name to a first column
+and a step: the CLI's ``table`` streams its columns, and the four table
+builders wrap them in a CountMatrix.
 ``build`` names a builder by family, and ``cached``, the memo shared by
 the verifier's engine side and the closed forms, wraps it.
 
@@ -26,28 +30,27 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache
 from itertools import accumulate
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Iterator
 
 from .core import Cell, CountMatrix, TableDims, check_pair
 
 
 def _advance3(col: list[int]) -> list[int]:
-    """One column step with the three-letter stencil, walls at both ends."""
-    n = len(col)
-    return [
-        (col[t - 1] if t > 0 else 0) + col[t] + (col[t + 1] if t + 1 < n else 0)
-        for t in range(n)
-    ]
+    """One column step with the three-letter stencil, walls at both ends:
+    each inner row adds its lower neighbour to the sum of itself and its
+    upper one, and the ends are the sums of their pairs."""
+    if len(col) < 2:
+        return col[:]
+    pairs = list(map(add, col, col[1:]))
+    return [pairs[0], *map(add, col, pairs[1:]), pairs[-1]]
 
 
 def _advance_ud(col: list[int]) -> list[int]:
     """One column step with the two-letter stencil (no flat step)."""
-    n = len(col)
-    return [
-        (col[t - 1] if t > 0 else 0) + (col[t + 1] if t + 1 < n else 0)
-        for t in range(n)
-    ]
+    if len(col) < 2:
+        return [0]
+    return [col[1], *map(add, col, col[2:]), col[-2]]
 
 
 def _advance_cycle(col: list[int]) -> list[int]:
@@ -63,11 +66,27 @@ def _unit_column(rows: int, row: int, one=1) -> list[int]:
     return col
 
 
-def _march(col: list[int], cols: int, advance=_advance3) -> Iterator[list[int]]:
+def _march(col: list[int], cols: int, advance=_advance3,
+           band: tuple[int, int] | None = None) -> Iterator[list[int]]:
     """The one column loop: yield ``col``, then the next ``cols - 1``
-    columns, each one ``advance`` step from the one before."""
+    columns, each one ``advance`` step from the one before.
+
+    ``band`` (lo, hi) says only rows ``lo:hi`` of ``col`` may be nonzero.
+    Each step can move a count one row, so the band widens by a row at
+    each end until it meets the walls, and only the band is advanced: the
+    rows outside it are zero, so the band, advanced with walls at its own
+    ends, is exact.  Once the band spans every row the loop is the plain
+    ``advance(col)``."""
     yield col
-    for _ in range(cols - 1):
+    rows, left = len(col), cols - 1
+    lo, hi = band or (0, rows)
+    col = col[lo:hi]
+    while left and (lo or hi < rows):
+        below, above = lo > 0, hi < rows  # the band grows where it can
+        col = advance([0] * below + col + [0] * above)
+        lo, hi, left = lo - below, hi + above, left - 1
+        yield [0] * lo + col + [0] * (rows - hi)
+    for _ in range(left):
         col = advance(col)
         yield col
 
@@ -92,18 +111,19 @@ def _columns(family: str, rows: int, cols: int, *start: int, one=1) -> Iterator[
     if family not in _FAMILIES:
         raise ValueError(f"unknown table family {family!r}")
     TableDims(rows, cols)  # dims checked first
-    if family == "a_table":
-        if cols != rows:
-            raise ValueError("kind 'a' is a square family; use --rows == --cols")
-        return _march(_unit_column(rows, 1, one), cols, _advance_ud)
     if family == "d_table":
         return _march([one] * rows, cols)
     if family == "h_table":
         return map(list, map(accumulate, _columns("di_table", rows, cols, 1, one=one)))
-    (start_row,) = start
-    if not 1 <= start_row <= rows:
-        raise ValueError(f"start row {start_row} outside [1, {rows}]")
-    return _march(_unit_column(rows, start_row, one), cols)
+    if family == "a_table":
+        if cols != rows:
+            raise ValueError("kind 'a' is a square family; use --rows == --cols")
+        row, advance = 1, _advance_ud
+    else:
+        (row,), advance = start, _advance3
+        if not 1 <= row <= rows:
+            raise ValueError(f"start row {row} outside [1, {rows}]")
+    return _march(_unit_column(rows, row, one), cols, advance, (row - 1, row))
 
 
 def di_table(dims: TableDims, start_row: int) -> CountMatrix:

@@ -561,7 +561,8 @@ def _streamed(render, matrix, *args):
     return out.getvalue()
 
 
-@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 6), (6, 1), (8, 8), (3, 9), (9, 3)])
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 6), (6, 1), (8, 8), (3, 9), (9, 3),
+                                       (2, 2), (2, 7), (7, 2)])
 def test_streamed_tables_match_joined_renderers(rows, cols):
     dims = TableDims(rows, cols)
     tables = {"d1": di_table(dims, 1), "d": d_table(dims), "h": h_table(dims)}

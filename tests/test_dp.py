@@ -281,6 +281,56 @@ def test_decimal_table_march_equals_the_int_table(family, start):
             list(dp._columns(family, rows, cols, *start, one=decimal.Decimal(1)))
 
 
+def _stencil_columns(family, rows, cols, start):
+    """Reference columns of ``family``: every row stepped at every column,
+    each entry summing the rows its letters reach, walls by bounds checks."""
+    letters = (-1, 1) if family == "a_table" else (-1, 0, 1)
+    if family == "d_table":
+        col = [1] * rows
+    else:
+        col = [0] * rows
+        col[start - 1] = 1
+    out = []
+    for _ in range(cols):
+        out.append(col)
+        col = [sum(col[t + d] for d in letters if 0 <= t + d < rows)
+               for t in range(rows)]
+    if family == "h_table":
+        out = [[sum(col[:t + 1]) for t in range(rows)] for col in out]
+    return out
+
+
+def _band_requests(rows):
+    """Every family at ``rows`` rows with every start row and up to 14
+    columns, as (family, cols, start row): ``a_table`` is square."""
+    for cols in range(1, 15):
+        yield from (("di_table", cols, r0) for r0 in range(1, rows + 1))
+        yield from (("d_table", cols, 1), ("h_table", cols, 1))
+    yield ("a_table", rows, 1)
+
+
+@pytest.mark.parametrize("unit", ["int", "decimal"])
+@pytest.mark.parametrize("rows", range(1, 10))
+def test_band_march_equals_the_full_column_stencil(rows, unit):
+    # A march from a unit column advances only the rows within s-1 of its
+    # start row; the rows outside that band must read 0, and every entry,
+    # printed, must be the full-column stencil's.
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+        one = decimal.Decimal(1) if unit == "decimal" else 1
+        for family, cols, r0 in _band_requests(rows):
+            start = (r0,) if family == "di_table" else ()
+            got = list(dp._columns(family, rows, cols, *start, one=one))
+            want = _stencil_columns(family, rows, cols, r0)
+            assert [list(map(str, col)) for col in got] == (
+                [list(map(str, col)) for col in want]), (family, cols, r0)
+            if family in ("di_table", "a_table"):
+                for s, col in enumerate(got, start=1):
+                    assert all(v == 0 for t, v in enumerate(col, start=1)
+                               if abs(t - r0) > s - 1), (family, cols, r0, s)
+
+
 @pytest.mark.parametrize("args, message", [
     (("bogus", 3, 3), "unknown table family 'bogus'"),
     (("di_table", 0, 3, 9), "table dimensions must be positive, got 0x3"),
