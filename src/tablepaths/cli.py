@@ -16,15 +16,19 @@ runs: all of them load ``dp`` and ``core``, ``table`` and ``sequence``
 add ``decimal``, ``words`` adds ``oracle``, and ``verify`` adds
 ``verify`` and ``formulas``, plus ``json`` for its json report.
 
-Exit codes: 0 success, 1 usage or resource error (a size too large to
-allocate included, and a ``count`` value past the int->str digit
-limit), 2 verification mismatch.  All values are printed as decimal
-strings; tables print with the row index decreasing downward so they
-can be compared against printed references directly.  Tables and
-sequences print exact values of any size: they are marched on exact
-Decimals, whose decimal string is linear in its digits and meets no
-digit limit; only ``count`` meets it.  Lists are written in batches:
-256 sequence values or 4,096 words.
+Exit codes: 0 success, 1 refusal or stdout closed early, 2
+verification mismatch.  A refusal prints one ``error:`` line: it is a
+``ValueError`` (bad usage, a word length past the ``--cap`` enumeration
+cap, a ``count`` value past the int->str digit limit), an
+``OverflowError`` or a ``MemoryError`` (a size too large to index or
+allocate).  Any other exception is a bug and propagates.
+
+All values are printed as decimal strings; tables print with the row
+index decreasing downward so they can be compared against printed
+references directly.  Tables and sequences print exact values of any
+size: they are marched on exact Decimals, whose decimal string is
+linear in its digits and meets no digit limit; only ``count`` meets it.
+Lists are written in batches: 256 sequence values or 4,096 words.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from typing import Iterable, Optional, Sequence, TextIO
 from . import dp
 from .core import Cell, TableDims
 
-CAP_ENV_VAR = "TABLEPATHS_ORACLE_CAP"
 CAP_AXES = ("m", "n", "s", "y", "k")  # verify's default-domain axes, option order
 FORMATS = ("csv", "json", "markdown")
 LIST_FORMATS = ("plain", "csv", "json")  # sequence values and words
@@ -51,13 +54,9 @@ WORD_BATCH = 4096  # words formatted per write
 SEQUENCE_BATCH = 256  # sequence values formatted per write: each may be long
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 on bad usage, not argparse's 2
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +192,7 @@ def render_table_markdown(out: TextIO, dims: TableDims, columns: Iterable,
 
 def _cmd_table(args) -> int:
     if args.hss_footer and (args.kind != "d1" or args.format != "markdown"):
-        raise UsageError("--hss-footer requires --kind d1 and markdown format")
+        raise ValueError("--hss-footer requires --kind d1 and markdown format")
     family, *start = TABLE_KINDS[args.kind]
     dims = TableDims(args.rows, args.cols)
     with _exact_decimals() as one:
@@ -307,38 +306,26 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_cap(flag_value: Optional[int], default: int) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(CAP_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise UsageError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from exc
-    return default
-
-
 def _cmd_words(args) -> int:
     from . import oracle
 
     floor, ceiling = args.floor, args.ceiling
     if args.rows is not None:
         if floor is not None or ceiling is not None:
-            raise UsageError("--rows conflicts with --floor/--ceiling")
+            raise ValueError("--rows conflicts with --floor/--ceiling")
         floor, ceiling = 1, args.rows
     length = args.length
     if length is None:
         if args.cols is None:
-            raise UsageError("either --length or --cols is required")
+            raise ValueError("either --length or --cols is required")
         length = args.cols - 1
     elif args.cols is not None:
-        raise UsageError("--length conflicts with --cols")
+        raise ValueError("--length conflicts with --cols")
     start = args.start
     if start is None and (floor is None or ceiling is None):
         start = 1  # unbounded enumerations need an anchor row
         if (floor is not None and floor > 1) or (ceiling is not None and ceiling < 1):
-            raise UsageError("row 1, the default --start, lies outside "
+            raise ValueError("row 1, the default --start, lies outside "
                              "--floor/--ceiling")
     filt = oracle.WordFilter(
         alphabet=args.alphabet,
@@ -348,7 +335,7 @@ def _cmd_words(args) -> int:
         end_row=args.end,
         net_displacement=args.net,
     )
-    cap = _resolve_cap(args.cap, oracle.DEFAULT_CAP)
+    cap = oracle.DEFAULT_CAP if args.cap is None else args.cap
     sep = "," if args.format == "csv" else " "
 
     def line(w) -> str:  # digits like 121 when unambiguous, else comma-joined
@@ -432,12 +419,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cap_exceeded() -> type:
-    from .oracle import CapExceededError
-
-    return CapExceededError
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -455,9 +436,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # cannot fail a second time, and exit 1 with no message.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (UsageError, ValueError, OverflowError, _cap_exceeded()) as exc:
-        # An except clause is evaluated only when an exception reaches
-        # it, so a run that succeeds never loads oracle here.
+    except (ValueError, OverflowError) as exc:  # usage, cap and digit limit
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,7 @@ All values here are immutable after construction (``LatticeWord`` and
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Sequence
 
 # Canonical letter order; also the enumeration order (u < r < d).
 LETTERS = "urd"
@@ -171,16 +171,6 @@ class CountMatrix:
         if not 1 <= col <= self.dims.cols:
             raise ValueError(f"column {col} outside table")
         return self._cols[col - 1]
-
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        """Every column, column 1 first; each one bottom row first."""
-        return self._cols
-
-    def entries(self) -> Iterator[tuple[int, int, int]]:
-        """(col, row, value) triples in column-major order."""
-        for s, col in enumerate(self._cols, start=1):
-            for t, v in enumerate(col, start=1):
-                yield s, t, v
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CountMatrix):

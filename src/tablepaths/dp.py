@@ -220,6 +220,8 @@ def _sequence(family: str, rows: int, max_cols: int, one=1) -> list:
     s = 1..max_cols, marched on columns whose unit is ``one``.  The march
     only adds, so a ``decimal.Decimal`` one in a context that cannot round
     gives the same values as Decimals, whose ``str`` takes linear time."""
+    if family not in ("imn_sequence", "d1_bottom_row"):
+        raise ValueError(f"unknown sequence {family!r}")
     if rows < 1 or max_cols < 1:
         raise ValueError("rows and max_cols must be positive")
     if family == "imn_sequence":

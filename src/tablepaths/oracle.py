@@ -28,8 +28,9 @@ DEFAULT_CAP = 14
 TAIL = 4
 
 
-class CapExceededError(RuntimeError):
-    """Requested enumeration is larger than the configured cap allows."""
+class CapExceededError(ValueError):
+    """Requested enumeration is larger than the configured cap allows: a
+    ``ValueError``, so the CLI refuses it in one line like any bad input."""
 
 
 def _check_cap(amount: int, cap: int, what: str) -> None:

@@ -10,6 +10,12 @@ ones; the tests confirm them independently by brute-force enumeration.
 """
 
 
+def table_columns(matrix) -> tuple:
+    """Every column of a ``CountMatrix``, column 1 first, each one bottom
+    row first: the one way the tests read a whole table."""
+    return tuple(map(matrix.column, range(1, matrix.dims.cols + 1)))
+
+
 def cells_from_rows(rows: dict[int, list[int]]) -> dict[tuple[int, int], int]:
     """Expand per-row value lists into a {(s, t): value} mapping."""
     cells = {}

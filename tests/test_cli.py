@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from golden_tables import FIGURE1_ROW_WORDS, MOTZKIN
+from golden_tables import FIGURE1_ROW_WORDS, MOTZKIN, table_columns
 from tablepaths import cli, dp, oracle
 from tablepaths.core import TableDims, row_trace
 from tablepaths.dp import (
@@ -64,6 +64,12 @@ def test_table_csv_golden_line(capsys):
     assert "8,2,14" in lines
 
 
+def _entries(matrix):
+    """(s, t, value) for every cell of a CountMatrix, column-major."""
+    return [(s, t, v) for s, col in enumerate(table_columns(matrix), start=1)
+            for t, v in enumerate(col, start=1)]
+
+
 def _csv_entries(out):
     """(s, t, value) for each printed line under the header, in print order."""
     header, *lines = out.splitlines()
@@ -84,7 +90,7 @@ def test_table_csv_round_trip(capsys):
         )
         assert code == 0
         # Every cell once, column-major: a missing, repeated or wrong cell fails.
-        assert _csv_entries(out) == list(build().entries())
+        assert _csv_entries(out) == _entries(build())
 
 
 def test_table_json_round_trip(capsys):
@@ -95,7 +101,7 @@ def test_table_json_round_trip(capsys):
     payload = json.loads(out)
     assert payload["kind"] == "a"
     assert payload["dims"] == {"rows": 6, "cols": 6}
-    want = [[s, t, str(v)] for s, t, v in a_table(6).entries()]
+    want = [[s, t, str(v)] for s, t, v in _entries(a_table(6))]
     assert payload["entries"] == want
 
 
@@ -334,22 +340,28 @@ def test_words_cap_resource_error(capsys):
     assert code == 1 and "cap 4" in err
 
 
-def test_only_the_cap_error_of_the_runtime_errors_is_caught(monkeypatch):
-    # main names the oracle's CapExceededError, not RuntimeError.
-    def broken(*args):
-        raise RuntimeError("not a cap")
+def test_only_the_cap_error_of_the_runtime_errors_is_caught(capsys, monkeypatch):
+    # The cap error is refused as bad input is: it is a ValueError, and
+    # main catches ValueError.  Any other error inside a command is a bug
+    # and propagates: ArithmeticError is what formulas._exact_div raises
+    # on a transcription bug.
+    assert issubclass(oracle.CapExceededError, ValueError)
+    code, out, err = run_cli(capsys, "words", "--length", "15", "--start", "1")
+    assert (code, out, err) == (
+        1, "", "error: word length 15 exceeds enumeration cap 14\n")
+    for error in (RuntimeError, KeyError, ArithmeticError):
+        def broken(*args, error=error):
+            raise error("not a cap")
 
-    monkeypatch.setattr(cli.dp, "bounded_pair_count", broken)
-    with pytest.raises(RuntimeError, match="not a cap"):
-        cli.main(["count", "-m", "2", "-n", "3", "--from-col", "1", "--from-row",
-                  "1", "--to-col", "3", "--to-row", "1"])
+        monkeypatch.setattr(cli.dp, "bounded_pair_count", broken)
+        with pytest.raises(error, match="not a cap"):
+            cli.main(["count", "-m", "2", "-n", "3", "--from-col", "1",
+                      "--from-row", "1", "--to-col", "3", "--to-row", "1"])
+        assert capsys.readouterr() == ("", "")
 
 
-def test_words_cap_env_var(capsys, monkeypatch):
-    monkeypatch.setenv(cli.CAP_ENV_VAR, "2")
-    code, _, err = run_cli(capsys, "words", "--length", "3", "--start", "1")
-    assert code == 1 and "cap 2" in err
-    # Flag wins over the environment.
+def test_words_cap_env_var(capsys):
+    # --cap is the one way to set the enumeration cap.
     code, out, _ = run_cli(
         capsys, "words", "--length", "3", "--start", "1", "--cap", "5",
         "--net", "3",
@@ -494,7 +506,7 @@ OPTION_SURFACE = {
 
 
 def test_option_surface_is_pinned():
-    # Adding a knob means editing this literal: 33 options and one
+    # Adding a knob means editing this literal: 33 options and no
     # environment variable.
     parser = cli.build_parser()
     (sub,) = [a for a in parser._actions if a.choices and a.dest == "command"]
@@ -512,10 +524,10 @@ def test_option_surface_is_pinned():
         "verify": ("csv", "json", "markdown"),
         "words": ("plain", "csv", "json"),
     }
-    assert cli.CAP_ENV_VAR == "TABLEPATHS_ORACLE_CAP"
+    # No module reads the environment.
     texts = {p.name: p.read_text() for p in Path(cli.__file__).parent.glob("*.py")}
     assert {name: text.count("environ") for name, text in texts.items()
-            if "environ" in text} == {"cli.py": 1}
+            if "environ" in text} == {}
 
 
 def test_help_exits_zero(capsys):
@@ -528,7 +540,7 @@ def test_help_exits_zero(capsys):
 
 def _joined_csv(matrix):
     lines = ["s,t,value"]
-    lines += [f"{s},{t},{v}" for s, t, v in matrix.entries()]
+    lines += [f"{s},{t},{v}" for s, t, v in _entries(matrix)]
     return "\n".join(lines) + "\n"
 
 
@@ -536,7 +548,7 @@ def _dumped_json(matrix, kind):
     payload = {
         "dims": {"rows": matrix.dims.rows, "cols": matrix.dims.cols},
         "kind": kind,
-        "entries": [[s, t, str(v)] for s, t, v in matrix.entries()],
+        "entries": [[s, t, str(v)] for s, t, v in _entries(matrix)],
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -557,7 +569,7 @@ def _joined_markdown(matrix, kind, footer=None):
 
 def _streamed(render, matrix, *args):
     out = io.StringIO()
-    assert render(out, matrix.dims, iter(matrix.columns()), *args) is None
+    assert render(out, matrix.dims, iter(table_columns(matrix)), *args) is None
     return out.getvalue()
 
 
@@ -576,7 +588,7 @@ def test_streamed_tables_match_joined_renderers(rows, cols):
         assert _streamed(cli.render_table_markdown, matrix, kind) == (
             _joined_markdown(matrix, kind)
         )
-    footer = hss_values(tables["d1"].columns())
+    footer = hss_values(table_columns(tables["d1"]))
     assert _streamed(cli.render_table_markdown, tables["d1"], "d1", footer) == (
         _joined_markdown(tables["d1"], "d1", footer)
     )
@@ -593,7 +605,7 @@ def _table_text(kind, rows, cols, fmt, footer=False):
         if fmt == "json":
             return _dumped_json(matrix, kind)
         return _joined_markdown(matrix, kind,
-                                hss_values(matrix.columns()) if footer else None)
+                                hss_values(table_columns(matrix)) if footer else None)
 
 
 def format_trace(trace):

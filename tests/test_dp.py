@@ -11,6 +11,7 @@ from golden_tables import (
     TABLE2_D1_RECOMPUTED_DIFFS,
     TABLE2_HSS_RECOMPUTED,
     cells_from_rows,
+    table_columns,
 )
 from tablepaths import dp
 from tablepaths.core import Cell, TableDims
@@ -38,7 +39,7 @@ def test_di_table_examples():
     # One column: the march yields its first column and stops.
     for m, i in [(1, 1), (4, 1), (4, 3)]:
         unit = tuple(int(t == i) for t in range(1, m + 1))
-        assert di_table(TableDims(m, 1), i).columns() == (unit,)
+        assert table_columns(di_table(TableDims(m, 1), i)) == (unit,)
 
 
 def test_di_table_start_row_domain_error():
@@ -64,7 +65,7 @@ def test_d_table_examples():
     table = d_table(TableDims(5, 7))
     assert all(table.get(1, t) == 1 for t in range(1, 6))
     for m in (1, 4):
-        assert d_table(TableDims(m, 1)).columns() == ((1,) * m,)
+        assert table_columns(d_table(TableDims(m, 1))) == ((1,) * m,)
 
 
 def test_d_table_is_sum_of_start_rows():
@@ -82,7 +83,7 @@ def test_a_table_examples():
     assert table.get(7, 1) == 5
     assert table.get(8, 2) == 14
     assert table.get(6, 1) == 0  # parity mismatch
-    assert a_table(1).columns() == ((1,),)
+    assert table_columns(a_table(1)) == ((1,),)
 
 
 def test_a_table_matches_8x8_golden():
@@ -106,7 +107,7 @@ def test_h_table_examples():
     assert table.get(4, 4) == 13
     assert all(table.get(1, t) == 1 for t in range(1, 6))
     for m in (1, 4):
-        assert h_table(TableDims(m, 1)).columns() == ((1,) * m,)
+        assert table_columns(h_table(TableDims(m, 1))) == ((1,) * m,)
 
 
 def test_h_table_is_prefix_sum():
@@ -166,7 +167,7 @@ def test_bounded_pair_count_at_the_split_threshold(m):
     for steps in (2 * n * n - 2, 2 * n * n - 1, 2 * n * n, 2 * n * n + 1):
         dims = TableDims(m, steps + 1)
         for r0 in {1, m}:
-            column = di_table(dims, r0).columns()[steps]
+            column = di_table(dims, r0).column(steps + 1)
             for r1 in {1, m}:
                 got = bounded_pair_count(dims, Cell(1, r0), Cell(steps + 1, r1))
                 assert got == column[r1 - 1], (steps, r0, r1)
@@ -262,6 +263,14 @@ def test_decimal_march_raises_rather_than_rounds(family):
     assert rounded[-1] != getattr(dp, family)(8, 100)[-1]
 
 
+@pytest.mark.parametrize("family", ["bogus", "d1_table", "imn-fixed-m", ""])
+def test_sequence_rejects_an_unknown_family(family):
+    # Only the two sequence names march; any other is refused, not read
+    # as the start-row-1 bottom row.
+    with pytest.raises(ValueError, match=f"^unknown sequence {family!r}$"):
+        dp._sequence(family, 3, 4)
+
+
 @pytest.mark.parametrize("family, start", [("di_table", (1,)), ("d_table", ()),
                                            ("h_table", ()), ("a_table", ())],
                          ids=["di_table", "d_table", "h_table", "a_table"])
@@ -270,7 +279,7 @@ def test_decimal_table_march_equals_the_int_table(family, start):
     # table's; every family passes the default 28 digits by column 120,
     # where the trapped Rounded or Inexact raises instead.
     rows = cols = 120
-    want = dp.build(family, rows, cols, *start).columns()
+    want = table_columns(dp.build(family, rows, cols, *start))
     with decimal.localcontext() as ctx:
         ctx.prec = decimal.MAX_PREC
         ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
@@ -439,7 +448,7 @@ def test_5x10_recomputed_values_confirmed_by_enumeration():
 
 def test_5x10_footer_recomputed_values_confirmed_by_enumeration():
     dims = TableDims(5, 10)
-    assert hss_values(di_table(dims, 1).columns()) == TABLE2_HSS_RECOMPUTED
+    assert hss_values(table_columns(di_table(dims, 1))) == TABLE2_HSS_RECOMPUTED
     # Footer entry s is the number of paths from (1,1) across s columns;
     # enumerate them directly for the two contested entries.
     h = h_table(dims)
@@ -456,7 +465,7 @@ def test_hss_values_read_the_capped_diagonal_of_h():
     for rows, cols in [(1, 1), (1, 6), (6, 1), (3, 9), (9, 3), (5, 10)]:
         dims = TableDims(rows, cols)
         h = h_table(dims)
-        assert hss_values(di_table(dims, 1).columns()) == [
+        assert hss_values(table_columns(di_table(dims, 1))) == [
             h.get(s, min(s, rows)) for s in range(1, cols + 1)
         ]
 

@@ -27,7 +27,9 @@ from tablepaths.oracle import (
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
-from test_cli import _joined_sequence, _table_text, int_digit_limit  # noqa: E402
+from test_cli import (  # noqa: E402
+    _entries, _joined_sequence, _table_text, int_digit_limit,
+)
 
 FIXED = settings(
     derandomize=True, max_examples=60, deadline=None, database=None
@@ -109,7 +111,7 @@ def test_table_output_parses_back_to_the_built_table(kind, rows, cols):
     if kind == "a":
         cols = rows  # a square family
     family, *start = cli.TABLE_KINDS[kind]
-    want = list(dp.build(family, rows, cols, *start).entries())
+    want = _entries(dp.build(family, rows, cols, *start))
     # Every cell once, column-major: a missing, repeated or wrong cell fails.
     readers = {
         "csv": lambda text: [tuple(map(int, line.split(",")))
