@@ -7,7 +7,9 @@ a ``verify`` report (json, markdown, csv) is rendered here.  Kinds and
 targets name ``dp`` families.  A table is streamed from ``dp``'s column
 march, not built by ``dp.build``: csv and json write each column as it
 is marched, made in one join, so each value's text is copied once, and
-markdown, which prints rows, keeps each column's text.
+markdown, which prints rows, keeps each column's text.  A short column's
+last entry stands for every row above it: its text is made once and
+repeated.
 Nothing goes through the memo ``dp.cached``, so no big table outlives
 its request.
 
@@ -122,6 +124,14 @@ def _decimal(value: int) -> str:
                          "past the int->str conversion limit") from None
 
 
+def _texts(col, rows: int) -> list[str]:
+    """The texts of a column's ``rows`` values.  A short column's last entry
+    stands for every row above it (see ``dp._march``): its text is made
+    once and repeated."""
+    texts = [*map(str, col)]
+    return texts + texts[-1:] * (rows - len(texts))
+
+
 def _column_text(mids: list[str], end: str):
     """A function that makes a column's text in one join: row t's text is
     a prefix (``first`` for row 1, ``between`` after it), ``mids[t-1]``
@@ -136,7 +146,7 @@ def _column_text(mids: list[str], end: str):
     def text(first: str, between: str, col) -> str:
         pieces[:-1:3] = [between] * len(mids)
         pieces[0] = first
-        pieces[2::3] = map(str, col)
+        pieces[2::3] = _texts(col, len(mids))
         joined = "".join(pieces)
         pieces[2::3] = blanks  # free the texts before the next column makes its own
         return joined
@@ -176,7 +186,7 @@ def render_table_markdown(out: TextIO, dims: TableDims, columns: Iterable,
     cols = dims.cols
     # Rows are printed, so every column's text is made before the first
     # write; each row reads its cells from the columns' texts in place.
-    texts = [tuple(map(str, col)) for col in columns]
+    texts = [_texts(col, dims.rows) for col in columns]
     out.write("| t\\s | " + " | ".join(map(str, range(1, cols + 1))) + " |\n")
     out.write("|" + " --- |" * (cols + 1) + "\n")
     for t in range(dims.rows, 0, -1):
@@ -337,11 +347,12 @@ def _cmd_words(args) -> int:
     )
     cap = oracle.DEFAULT_CAP if args.cap is None else args.cap
     sep = "," if args.format == "csv" else " "
+    compact = 2 * length + 1  # a trace's length when every row is one digit
 
     def line(w) -> str:  # digits like 121 when unambiguous, else comma-joined
         trace = w.trace
-        if len(trace) == 2 * len(w.letters) + 1:  # every row is one digit
-            trace = trace.replace(",", "")
+        if len(trace) == compact:  # the digits sit at the even positions
+            trace = trace[::2]
         return f"{w.letters or 'ε'}{sep}{trace}\n"
 
     _write_list(
@@ -362,7 +373,11 @@ def _cmd_words(args) -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="tablepaths", description=__doc__)
+    parser = _Parser(prog="tablepaths", description=(
+        "Exact counts of lattice paths confined to a table: counting tables, "
+        "pair counts, sequences, the identity suite and word listings.  Exit "
+        "status 0 on success, 1 on a refusal (one 'error:' line) or a closed "
+        "stdout, 2 when verify finds a mismatch."))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table", help="render one counting family")

@@ -8,11 +8,14 @@ ones for D and I_m(n)) and marches a row vector column by column with
 O(rows) state; full matrices are materialized only when a CountMatrix
 is requested.  A march from a unit column advances only its band: the
 rows within s-1 of the start row, all that a path can reach by column
-s, as every other row is zero.  Each step is a kernel that adds whole
-shifted columns with ``map(add, ...)``, so its loop over rows runs in
-C.  ``_columns`` is the one switch from a family name to a first column
-and a step: the CLI's ``table`` streams its columns, and the four table
-builders wrap them in a CountMatrix.
+s, as every other row is zero.  Until the band reaches the top row its
+columns are short: they stop one row above the band, and that last
+entry stands for every row above it (0 for D^i and A, the column total
+for H).  Each step is a kernel that adds whole shifted columns with
+``map(add, ...)``, so its loop over rows runs in C.  ``_columns`` is the
+one switch from a family name to a first column and a step: the CLI's
+``table`` streams its columns, and the four table builders pad them to
+full height, one at a time, into a CountMatrix.
 ``build`` names a builder by family, and ``cached``, the memo shared by
 the verifier's engine side and the closed forms, wraps it.
 
@@ -75,8 +78,10 @@ def _march(col: list[int], cols: int, advance=_advance3,
     Each step can move a count one row, so the band widens by a row at
     each end until it meets the walls, and only the band is advanced: the
     rows outside it are zero, so the band, advanced with walls at its own
-    ends, is exact.  Once the band spans every row the loop is the plain
-    ``advance(col)``."""
+    ends, is exact.  Until the band reaches the top row, a column is
+    short: its rows up to the band's top, then one 0 that stands for
+    every row above it.  Once the band spans every row the loop is the
+    plain ``advance(col)``."""
     yield col
     rows, left = len(col), cols - 1
     lo, hi = band or (0, rows)
@@ -85,7 +90,7 @@ def _march(col: list[int], cols: int, advance=_advance3,
         below, above = lo > 0, hi < rows  # the band grows where it can
         col = advance([0] * below + col + [0] * above)
         lo, hi, left = lo - below, hi + above, left - 1
-        yield [0] * lo + col + [0] * (rows - hi)
+        yield [0] * lo + col + [0] * (hi < rows)
     for _ in range(left):
         col = advance(col)
         yield col
@@ -102,6 +107,8 @@ _FAMILIES = ("di_table", "d_table", "h_table", "a_table")  # what ``build`` buil
 def _columns(family: str, rows: int, cols: int, *start: int, one=1) -> Iterator[list]:
     """The columns of ``family``'s ``rows`` x ``cols`` table, column 1 first,
     each a list, bottom row first, marched on columns whose unit is ``one``.
+    A column may be short: its last entry then stands for every row above
+    it (see ``_march``); ``d_table``'s columns are always full.
 
     The one switch from a family name (``di_table`` with its ``start``
     row, ``d_table``, ``h_table`` or ``a_table``) to a first column and a
@@ -126,14 +133,23 @@ def _columns(family: str, rows: int, cols: int, *start: int, one=1) -> Iterator[
     return _march(_unit_column(rows, row, one), cols, advance, (row - 1, row))
 
 
+def _padded(columns: Iterable[list], rows: int) -> Iterator[list]:
+    """Each of ``columns`` as ``rows`` rows: a short column is padded with
+    its last entry, which stands for every row above it.  Lazy, so a
+    CountMatrix made from it holds one padded list at a time."""
+    return (col + col[-1:] * (rows - len(col)) for col in columns)
+
+
 def di_table(dims: TableDims, start_row: int) -> CountMatrix:
     """Counts of confined paths from (1, start_row) to every cell."""
-    return CountMatrix(dims, _columns("di_table", dims.rows, dims.cols, start_row))
+    columns = _columns("di_table", dims.rows, dims.cols, start_row)
+    return CountMatrix(dims, _padded(columns, dims.rows))
 
 
 def d_table(dims: TableDims) -> CountMatrix:
     """Counts of confined paths from anywhere in column 1 to every cell."""
-    return CountMatrix(dims, _columns("d_table", dims.rows, dims.cols))
+    columns = _columns("d_table", dims.rows, dims.cols)
+    return CountMatrix(dims, _padded(columns, dims.rows))
 
 
 def a_table(n: int) -> CountMatrix:
@@ -143,7 +159,7 @@ def a_table(n: int) -> CountMatrix:
     The n-row window is exact, not an approximation: an entry needs
     t <= s <= n, so the top wall is never reached.
     """
-    return CountMatrix(TableDims(n, n), _columns("a_table", n, n))
+    return CountMatrix(TableDims(n, n), _padded(_columns("a_table", n, n), n))
 
 
 def h_table(dims: TableDims) -> CountMatrix:
@@ -152,7 +168,8 @@ def h_table(dims: TableDims) -> CountMatrix:
     Entry (s, t) counts paths from (1, 1) to column s ending in any row
     up to t; entry (s, rows) counts all paths from (1, 1) to column s.
     """
-    return CountMatrix(dims, _columns("h_table", dims.rows, dims.cols))
+    columns = _columns("h_table", dims.rows, dims.cols)
+    return CountMatrix(dims, _padded(columns, dims.rows))
 
 
 def build(family: str, rows: int, cols: int, *start: int) -> CountMatrix:
@@ -172,7 +189,8 @@ cached = lru_cache(maxsize=128)(build)
 
 def hss_values(columns: Iterable) -> list:
     """Diagonal footer H(s, min(s, rows)) for s = 1..cols, read from the
-    columns of the start-row-1 table (as ``di_table(dims, 1)`` holds them).
+    columns of the start-row-1 table, full or short (column s then holds
+    its rows up to s, and the zero above).
 
     For s <= rows this is the true diagonal; beyond the top row the
     diagonal is capped at the table height, matching the tabulated

@@ -535,6 +535,15 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+def test_help_prints_no_design_notes(capsys):
+    # --help is for users: a short summary, not the cli module's notes on
+    # how it streams, joins and batches its output.
+    assert cli.main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: tablepaths ")
+    assert [word for word in ("decimal", "batch", "join") if word in out.lower()] == []
+
+
 # -- streamed output against the whole-string renderers it replaced ----------
 
 
@@ -606,6 +615,35 @@ def _table_text(kind, rows, cols, fmt, footer=False):
             return _dumped_json(matrix, kind)
         return _joined_markdown(matrix, kind,
                                 hss_values(table_columns(matrix)) if footer else None)
+
+
+# Shapes whose start-row columns stop short of the top row ((9, 4) and
+# (6, 6)), reach it just then ((2, 3)), or have one row or one column.
+SHORT_COLUMN_SHAPES = [(9, 4), (6, 6), (1, 5), (2, 3), (5, 1)]
+
+
+def _short_column_cases():
+    for rows, cols in SHORT_COLUMN_SHAPES:
+        for kind in cli.TABLE_KINDS:
+            if kind == "a" and rows != cols:  # a square family
+                continue
+            for fmt in ("csv", "json", "markdown"):
+                yield pytest.param(kind, rows, cols, fmt, False,
+                                   id=f"{kind}-{rows}x{cols}-{fmt}")
+        yield pytest.param("d1", rows, cols, "markdown", True,
+                           id=f"d1-{rows}x{cols}-markdown-footer")
+
+
+@pytest.mark.parametrize("kind, rows, cols, fmt, footer", _short_column_cases())
+def test_table_prints_short_columns_as_the_reference(capsys, kind, rows, cols,
+                                                      fmt, footer):
+    # The march keeps a short column's rows above the band as one entry;
+    # every kind and format must still print each row of the whole table.
+    argv = ["table", "--kind", kind, "-m", str(rows), "-n", str(cols),
+            "--format", fmt] + ["--hss-footer"] * footer
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == _table_text(kind, rows, cols, fmt, footer)
 
 
 def format_trace(trace):

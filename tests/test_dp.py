@@ -283,11 +283,28 @@ def test_decimal_table_march_equals_the_int_table(family, start):
     with decimal.localcontext() as ctx:
         ctx.prec = decimal.MAX_PREC
         ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
-        got = dp._columns(family, rows, cols, *start, one=decimal.Decimal(1))
+        marched = list(dp._columns(family, rows, cols, *start, one=decimal.Decimal(1)))
+        _assert_short_columns(family, rows, 1, marched, want)
+        got = dp._padded(marched, rows)
         assert [tuple(map(int, col)) for col in got] == list(want)
         ctx.prec = 28
         with pytest.raises((decimal.Rounded, decimal.Inexact)):
             list(dp._columns(family, rows, cols, *start, one=decimal.Decimal(1)))
+
+
+def _assert_short_columns(family, rows, r0, marched, full):
+    """Column s >= 2 of a march from row ``r0`` whose band has not reached
+    the top (r0 + s - 1 < rows) stops short, at r0 + s entries, and its
+    last entry stands for every row above it: 0 for di and a, the column
+    total (the full column's top entry) for h.  Every other column,
+    column 1 and every column of d among them, is full."""
+    for s, (col, whole) in enumerate(zip(marched, full), start=1):
+        if family != "d_table" and s >= 2 and r0 + s - 1 < rows:
+            assert len(col) == r0 + s, (family, rows, r0, s)
+            assert col[-1] == (whole[-1] if family == "h_table" else 0), (
+                family, rows, r0, s)
+        else:
+            assert len(col) == rows, (family, rows, r0, s)
 
 
 def _stencil_columns(family, rows, cols, start):
@@ -322,7 +339,8 @@ def _band_requests(rows):
 @pytest.mark.parametrize("rows", range(1, 10))
 def test_band_march_equals_the_full_column_stencil(rows, unit):
     # A march from a unit column advances only the rows within s-1 of its
-    # start row; the rows outside that band must read 0, and every entry,
+    # start row, and its columns stop short until that band reaches the
+    # top; padded, the rows outside the band must read 0, and every entry,
     # printed, must be the full-column stencil's.
     with decimal.localcontext() as ctx:
         ctx.prec = decimal.MAX_PREC
@@ -330,8 +348,10 @@ def test_band_march_equals_the_full_column_stencil(rows, unit):
         one = decimal.Decimal(1) if unit == "decimal" else 1
         for family, cols, r0 in _band_requests(rows):
             start = (r0,) if family == "di_table" else ()
-            got = list(dp._columns(family, rows, cols, *start, one=one))
+            marched = list(dp._columns(family, rows, cols, *start, one=one))
             want = _stencil_columns(family, rows, cols, r0)
+            _assert_short_columns(family, rows, r0, marched, want)
+            got = list(dp._padded(marched, rows))
             assert [list(map(str, col)) for col in got] == (
                 [list(map(str, col)) for col in want]), (family, cols, r0)
             if family in ("di_table", "a_table"):
