@@ -240,8 +240,6 @@ def _sequence(family: str, rows: int, max_cols: int, one=1) -> list:
     gives the same values as Decimals, whose ``str`` takes linear time."""
     if family not in ("imn_sequence", "d1_bottom_row"):
         raise ValueError(f"unknown sequence {family!r}")
-    if rows < 1 or max_cols < 1:
-        raise ValueError("rows and max_cols must be positive")
     if family == "imn_sequence":
         return list(map(sum, _columns("d_table", rows, max_cols, one=one)))
     return [col[0] for col in _columns("di_table", rows, max_cols, 1, one=one)]

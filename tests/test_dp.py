@@ -233,7 +233,7 @@ def test_imn_sequence_matches_pointwise():
     for m in (1, 4):
         assert imn_sequence(m, 1) == [m]
     for rows, max_cols in [(0, 3), (3, 0), (-1, 1)]:
-        with pytest.raises(ValueError, match="rows and max_cols must be positive"):
+        with pytest.raises(ValueError, match="table dimensions must be positive"):
             imn_sequence(rows, max_cols)
 
 
@@ -245,7 +245,7 @@ def test_d1_bottom_row_matches_tables():
     for m in (1, 4):
         assert d1_bottom_row(m, 1) == [1]
     for rows, max_cols in [(0, 3), (3, 0), (-1, 1)]:
-        with pytest.raises(ValueError, match="rows and max_cols must be positive"):
+        with pytest.raises(ValueError, match="table dimensions must be positive"):
             d1_bottom_row(rows, max_cols)
 
 
