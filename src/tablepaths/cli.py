@@ -9,7 +9,8 @@ march, not built by ``dp.build``: csv and json write each column as it
 is marched, made in one join, so each value's text is copied once, and
 markdown, which prints rows, keeps each column's text.  A short column's
 last entry stands for every row above it: its text is made once and
-repeated.
+repeated.  A sequence streams too: its values are marched as its write
+batches are formatted.
 Nothing goes through the memo ``dp.cached``, so no big table outlives
 its request.
 
@@ -20,10 +21,12 @@ add ``decimal``, ``words`` adds ``oracle``, and ``verify`` adds
 
 Exit codes: 0 success, 1 refusal or stdout closed early, 2
 verification mismatch.  A refusal prints one ``error:`` line: it is a
-``ValueError`` (bad usage, a word length past the ``--cap`` enumeration
-cap, a ``count`` value past the int->str digit limit), an
-``OverflowError`` or a ``MemoryError`` (a size too large to index or
-allocate).  Any other exception is a bug and propagates.
+``ValueError`` (bad usage, a ``table`` or ``sequence`` past the work
+budget ``WORK_BUDGET``, checked from the arguments before any
+allocation, a word length past the ``--cap`` enumeration cap, a
+``count`` value past the int->str digit limit), an ``OverflowError`` or
+a ``MemoryError`` (a size too large to index or allocate).  Any other
+exception is a bug and propagates.
 
 All values are printed as decimal strings; tables print with the row
 index decreasing downward so they can be compared against printed
@@ -41,7 +44,7 @@ import sys
 from contextlib import contextmanager
 from itertools import chain, count, islice
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import dp
 from .core import Cell, TableDims
@@ -54,6 +57,10 @@ TABLE_KINDS = {"d1": ("di_table", 1), "d": ("d_table",), "a": ("a_table",),
 SEQUENCE_TARGETS = {"imn-fixed-m": "imn_sequence", "d1-bottom-row": "d1_bottom_row"}
 WORD_BATCH = 4096  # words formatted per write
 SEQUENCE_BATCH = 256  # sequence values formatted per write: each may be long
+# Cells marched times a bound on the bits of the largest value, for table
+# and sequence: d1 1000 x 1000 costs 2.0e9 and takes about 0.55 s, so the
+# budget admits about an hour of march.
+WORK_BUDGET = 10**13
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,6 +131,21 @@ def _decimal(value: int) -> str:
                          "past the int->str conversion limit") from None
 
 
+def _check_work(dims: TableDims) -> None:
+    """Refuse a march over ``dims`` whose cost is past ``WORK_BUDGET``:
+    its cells times the bits of its largest value, at most
+    rows * 3^(cols-1) in every family, so under 2 * cols +
+    rows.bit_length() bits."""
+    rows, cols = dims.rows, dims.cols
+    cost = rows * cols * (2 * cols + rows.bit_length())
+    if cost > WORK_BUDGET:
+        import math  # log10 sizes an int of any length; loaded only to refuse
+
+        raise ValueError(
+            f"a {rows} x {cols} march needs about 10^{math.log10(cost):.1f} "
+            f"cell-bits, past the work budget of 10^{math.log10(WORK_BUDGET):.0f}")
+
+
 def _texts(col, rows: int) -> list[str]:
     """The texts of a column's ``rows`` values.  A short column's last entry
     stands for every row above it (see ``dp._march``): its text is made
@@ -180,6 +202,8 @@ def render_table_json(out: TextIO, dims: TableDims, columns: Iterable,
 
 def render_table_markdown(out: TextIO, dims: TableDims, columns: Iterable,
                           kind: str, footer: Optional[list] = None) -> None:
+    """``footer``, if given, is read once every column is, so it may be
+    filled while they are read (see ``_with_footer``)."""
     # Triangular families leave the unreachable upper wedge (t > s)
     # blank, the way the reference tables print them.
     blank_wedge = kind in ("d1", "a")
@@ -200,11 +224,21 @@ def render_table_markdown(out: TextIO, dims: TableDims, columns: Iterable,
         out.write("| H(s,s) | " + " | ".join(map(str, footer)) + " |\n")
 
 
+def _with_footer(columns: Iterable, footer: list) -> Iterator:
+    """Yield ``columns``, appending column s's ``--hss-footer`` entry,
+    H(s, min(s, rows)) = ``sum(col[:s])`` as in ``dp.hss_values``, to
+    ``footer`` as each one is read, so no column is kept for the footer."""
+    for s, col in enumerate(columns, start=1):
+        footer.append(sum(col[:s]))
+        yield col
+
+
 def _cmd_table(args) -> int:
     if args.hss_footer and (args.kind != "d1" or args.format != "markdown"):
         raise ValueError("--hss-footer requires --kind d1 and markdown format")
     family, *start = TABLE_KINDS[args.kind]
     dims = TableDims(args.rows, args.cols)
+    _check_work(dims)
     with _exact_decimals() as one:
         # Every check, and column 1, comes before the first write.
         columns = dp._columns(family, dims.rows, dims.cols, *start, one=one)
@@ -214,9 +248,9 @@ def _cmd_table(args) -> int:
             render_table_json(sys.stdout, dims, columns, args.kind)
         else:
             footer = None
-            if args.hss_footer:  # the footer reads the values too
-                columns = list(columns)
-                footer = dp.hss_values(columns)
+            if args.hss_footer:  # summed in the pass that makes the texts
+                footer = []
+                columns = _with_footer(columns, footer)
             render_table_markdown(sys.stdout, dims, columns, args.kind, footer)
     return 0
 
@@ -231,14 +265,18 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_sequence(args) -> int:
+    _check_work(TableDims(args.rows, args.max_n))
+    head = f'  "target": "{args.target}",\n  "rows": {args.rows},\n'
+    line = "{0[0]},{0[1]}\n" if args.format == "csv" else "{0[1]}\n"
+    # The values are marched as their batches are written, so the writes
+    # stay inside the exact context too.
     with _exact_decimals() as one:
         values = dp._sequence(SEQUENCE_TARGETS[args.target], args.rows,
                               args.max_n, one)
-    head = f'  "target": "{args.target}",\n  "rows": {args.rows},\n'
-    line = "{0[0]},{0[1]}\n" if args.format == "csv" else "{0[1]}\n"
-    _write_list(args.format, enumerate(map(str, values), start=1), SEQUENCE_BATCH,
-                head, "values", '    [\n      {0[0]},\n      "{0[1]}"\n    ]'.format,
-                "n,value\n", line.format)
+        _write_list(args.format, enumerate(map(str, values), start=1),
+                    SEQUENCE_BATCH, head, "values",
+                    '    [\n      {0[0]},\n      "{0[1]}"\n    ]'.format,
+                    "n,value\n", line.format)
     return 0
 
 
@@ -451,7 +489,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # cannot fail a second time, and exit 1 with no message.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, OverflowError) as exc:  # usage, cap and digit limit
+    except (ValueError, OverflowError) as exc:  # usage, budget, cap, digit limit
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

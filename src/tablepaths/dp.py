@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache
 from itertools import accumulate
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Iterable, Iterator
 
 from .core import Cell, CountMatrix, TableDims, check_pair
@@ -233,26 +233,30 @@ def imn(dims: TableDims) -> int:
     return sum(_last(_columns("d_table", dims.rows, dims.cols)))
 
 
-def _sequence(family: str, rows: int, max_cols: int, one=1) -> list:
+def _sequence(family: str, rows: int, max_cols: int, one=1) -> Iterator:
     """The values of ``family`` (``imn_sequence`` or ``d1_bottom_row``) for
     s = 1..max_cols, marched on columns whose unit is ``one``.  The march
     only adds, so a ``decimal.Decimal`` one in a context that cannot round
-    gives the same values as Decimals, whose ``str`` takes linear time."""
+    gives the same values as Decimals, whose ``str`` takes linear time.
+
+    Every check raises here, at the call; the values then come lazily, one
+    column step each, so a Decimal march must be consumed inside that
+    exact context, not only started in it."""
     if family not in ("imn_sequence", "d1_bottom_row"):
         raise ValueError(f"unknown sequence {family!r}")
     if family == "imn_sequence":
-        return list(map(sum, _columns("d_table", rows, max_cols, one=one)))
-    return [col[0] for col in _columns("di_table", rows, max_cols, 1, one=one)]
+        return map(sum, _columns("d_table", rows, max_cols, one=one))
+    return map(itemgetter(0), _columns("di_table", rows, max_cols, 1, one=one))
 
 
 def imn_sequence(rows: int, max_cols: int) -> list[int]:
     """Whole-table counts for widths 1..max_cols at a fixed height."""
-    return _sequence("imn_sequence", rows, max_cols)
+    return list(_sequence("imn_sequence", rows, max_cols))
 
 
 def d1_bottom_row(rows: int, max_cols: int) -> list[int]:
     """Bottom-row counts of the start-row-1 family for s = 1..max_cols."""
-    return _sequence("d1_bottom_row", rows, max_cols)
+    return list(_sequence("d1_bottom_row", rows, max_cols))
 
 
 def free_count(net: int, steps: int) -> int:

@@ -1,10 +1,12 @@
+import gc
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
-from contextlib import contextmanager
+import tracemalloc
+from contextlib import contextmanager, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -462,17 +464,78 @@ HUGE = "100000000000000000000"  # 10^20, past any index-sized integer
         (["table", "--kind", "d1", "-m", "10000000000", "-n", "1"], True),
         (["sequence", "--target", "imn-fixed-m", "-m", "3",
           "--max-n", "100000000000"], True),
+        (["table", "--kind", "d1", "-m", "1", "-n", "100000000000",
+          "--format", "csv"], False),
     ],
     ids=["table-overflow", "sequence-overflow", "words-overflow",
-         "table-out-of-memory", "sequence-out-of-memory"],
+         "table-out-of-memory", "sequence-over-budget", "table-over-budget"],
 )
 def test_huge_sizes_end_in_one_error_line(argv, memory_limited):
-    # A size past an index-sized integer raises OverflowError; one past
-    # the address space raises MemoryError.  Both end in one line.
+    # A table or sequence past the work budget is refused before any
+    # allocation, the 10^20 sizes among them; a word length past an
+    # index-sized integer raises OverflowError, and a 10^10-row column
+    # still fits the budget but not the address space, so it raises
+    # MemoryError.  Each ends in one line.  The over-budget sequence ran
+    # out of memory after 6.5 s when it kept its values, and the 10^11-
+    # column csv table streamed without end.
     proc = _run_child(argv, timeout=60, memory_limited=memory_limited)
     assert (proc.returncode, proc.stdout) == (1, "")
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def test_work_budget_admits_every_benchmark_size_and_refuses_endless_ones():
+    # The largest table-render request and the largest long-span
+    # sequences fit the budget many times over; the two requests that ran
+    # without end or until memory ran out do not.
+    for rows, cols in [(1000, 1000), (16, 6000), (4, 12000)]:
+        cli._check_work(TableDims(rows, cols))
+    for rows, cols in [(1, 100000000000), (3, 100000000000)]:
+        with pytest.raises(ValueError, match=r"past the work budget of 10\^13$"):
+            cli._check_work(TableDims(rows, cols))
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--kind", "h", "-m", HUGE, "-n", "3"),
+    ("sequence", "--target", "d1-bottom-row", "-m", "2" * 4000, "--max-n", "1"),
+])
+def test_budget_refusal_comes_before_any_write(capsys, argv):
+    # The budget is checked from the arguments, before the first column
+    # is allocated, so even a 4,000-digit size is refused at once, with
+    # one line naming the budget.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: a ") and err.endswith(
+        "past the work budget of 10^13\n") and err.count("\n") == 1
+
+
+def _traced_peak(*argv):
+    """The traced memory peak, in bytes, of one CLI run written to devnull."""
+    with open(os.devnull, "w") as devnull, redirect_stdout(devnull):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert cli.main(list(argv)) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_long_sequence_is_written_as_it_is_marched():
+    # The values stream through the write batches, so the longest
+    # long-span sequence (12,000 values up to 5,015 digits) holds one
+    # batch at a time; kept whole it peaked at about 16 MiB.
+    peak = _traced_peak("sequence", "--target", "d1-bottom-row", "-m", "4",
+                        "--max-n", "12000")
+    assert peak < 5 << 20, peak
+
+
+def test_footer_keeps_no_column_of_values():
+    # Each footer entry is summed as its column's texts are made, so the
+    # footer costs about nothing over the texts markdown keeps anyway;
+    # keeping the whole Decimal table for it nearly doubled the peak.
+    argv = ("table", "--kind", "d1", "-m", "200", "-n", "200")
+    assert _traced_peak(*argv, "--hss-footer") < 1.1 * _traced_peak(*argv)
 
 
 def test_package_root_loads_no_module_and_script_entry_runs():
@@ -724,7 +787,7 @@ def _joined_sequence(target, rows, values, fmt):
 @pytest.mark.parametrize("fmt", ["plain", "csv", "json", "markdown"])
 @pytest.mark.parametrize("target,rows,max_n", [
     ("imn-fixed-m", 1, 1),
-    ("imn-fixed-m", 1, 3 * cli.WORD_BATCH + 5),  # several write batches
+    ("imn-fixed-m", 1, 48 * cli.SEQUENCE_BATCH + 5),  # many write batches
     ("d1-bottom-row", 3, 50),
 ])
 def test_streamed_sequence_matches_joined_output(capsys, fmt, target, rows, max_n):

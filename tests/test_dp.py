@@ -256,10 +256,12 @@ def test_decimal_march_raises_rather_than_rounds(family):
     # Inexact trapped the march raises instead of returning such a value.
     with decimal.localcontext() as ctx:
         ctx.prec = 28
-        rounded = dp._sequence(family, 8, 100, decimal.Decimal(1))
+        # The values come lazily, so each march is read to its end here,
+        # inside the context it is meant to run in.
+        rounded = list(dp._sequence(family, 8, 100, decimal.Decimal(1)))
         ctx.traps[decimal.Inexact] = True
         with pytest.raises(decimal.Inexact):
-            dp._sequence(family, 8, 100, decimal.Decimal(1))
+            list(dp._sequence(family, 8, 100, decimal.Decimal(1)))
     assert rounded[-1] != getattr(dp, family)(8, 100)[-1]
 
 

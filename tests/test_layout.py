@@ -83,8 +83,11 @@ def test_import_graph_is_pinned():
 # calibration that the acceptance tests drive.  ``dp.imn_sequence`` and
 # ``dp.d1_bottom_row`` are named only as strings the CLI passes to
 # ``dp._sequence``; the tests and perfbench's ``MARCHES`` call them.
+# ``dp.hss_values`` reads a whole table's columns; the CLI sums each
+# footer entry as it renders that column, and the tests compare the two.
 UNCALLED_API = {
     "dp.imn",
+    "dp.hss_values",
     "dp.imn_sequence",
     "dp.d1_bottom_row",
     "oracle.brute_pair_count",
