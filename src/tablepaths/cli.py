@@ -6,11 +6,12 @@ identity suite and ``words`` lists matching lattice words; every form of
 a ``verify`` report (json, markdown, csv) is rendered here.  Kinds and
 targets name ``dp`` families.  A table is streamed from ``dp``'s column
 march, not built by ``dp.build``: csv and json write each column as it
-is marched, made in one join, so each value's text is copied once, and
-markdown, which prints rows, keeps each column's text.  A short column's
-last entry stands for every row above it: its text is made once and
-repeated.  A sequence streams too: its values are marched as its write
-batches are formatted.
+is marched, made in one join, so each value's text is copied once;
+markdown, which prints rows, keeps each column as one buffer of its
+texts' ASCII bytes, a line per row, and joins each row's lines in C.  A
+short column's last entry stands for every row above it: its text is
+made once and repeated.  A sequence streams too: its values are marched
+as its write batches are formatted.
 Nothing goes through the memo ``dp.cached``, so no big table outlives
 its request.
 
@@ -39,11 +40,11 @@ Lists are written in batches: 256 sequence values or 4,096 words.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from contextlib import contextmanager
 from itertools import chain, count, islice
-from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import dp
@@ -57,9 +58,9 @@ TABLE_KINDS = {"d1": ("di_table", 1), "d": ("d_table",), "a": ("a_table",),
 SEQUENCE_TARGETS = {"imn-fixed-m": "imn_sequence", "d1-bottom-row": "d1_bottom_row"}
 WORD_BATCH = 4096  # words formatted per write
 SEQUENCE_BATCH = 256  # sequence values formatted per write: each may be long
-# Cells marched times a bound on the bits of the largest value, for table
-# and sequence: d1 1000 x 1000 costs 2.0e9 and takes about 0.55 s, so the
-# budget admits about an hour of march.
+# The cost of a table or sequence march (see ``_check_work``): d1 1000 x
+# 1000 costs 9.0e9 and takes about 0.55 s, and the budget admits at most
+# about 45 minutes of march, a 1-row table of 1.4e9 columns.
 WORK_BUDGET = 10**13
 
 
@@ -133,11 +134,15 @@ def _decimal(value: int) -> str:
 
 def _check_work(dims: TableDims) -> None:
     """Refuse a march over ``dims`` whose cost is past ``WORK_BUDGET``:
-    its cells times the bits of its largest value, at most
-    rows * 3^(cols-1) in every family, so under 2 * cols +
-    rows.bit_length() bits."""
+    its cells times the bits of its largest value, plus 7,000 per cell.
+    The largest value is at most rows * 3^(cols-1) in every family, and
+    2^(cols-1) per row at two rows and 1 at one, so under
+    min(rows - 1, 2) * cols + rows.bit_length() bits.  The constant is
+    the measured cost of a cell that carries almost no bits: a 1-row
+    table's column takes about 1.9 us, close to 7,000 cell-bits at the
+    3.6e9 cell-bits/s of d1 1000 x 1000."""
     rows, cols = dims.rows, dims.cols
-    cost = rows * cols * (2 * cols + rows.bit_length())
+    cost = rows * cols * (min(rows - 1, 2) * cols + rows.bit_length() + 7000)
     if cost > WORK_BUDGET:
         import math  # log10 sizes an int of any length; loaded only to refuse
 
@@ -202,24 +207,36 @@ def render_table_json(out: TextIO, dims: TableDims, columns: Iterable,
 
 def render_table_markdown(out: TextIO, dims: TableDims, columns: Iterable,
                           kind: str, footer: Optional[list] = None) -> None:
-    """``footer``, if given, is read once every column is, so it may be
-    filled while they are read (see ``_with_footer``)."""
-    # Triangular families leave the unreachable upper wedge (t > s)
-    # blank, the way the reference tables print them.
-    blank_wedge = kind in ("d1", "a")
-    cols = dims.cols
-    # Rows are printed, so every column's text is made before the first
-    # write; each row reads its cells from the columns' texts in place.
-    texts = [_texts(col, dims.rows) for col in columns]
-    out.write("| t\\s | " + " | ".join(map(str, range(1, cols + 1))) + " |\n")
-    out.write("|" + " --- |" * (cols + 1) + "\n")
+    """Rows are printed top row first, so every column is kept before the
+    first write, as one ASCII buffer of its texts, top row first, one per
+    line.  Column s of a start-row family keeps only its rows <= s: above
+    them H repeats its total and the triangular families leave the
+    unreachable wedge blank, the way the reference tables print them;
+    that total, or the blank, is the column's stand-in text, made once.
+    A column so holds min(s, rows) texts (``d``'s are full), the columns
+    short of row t are the first t - 1, and each row joins one line of
+    every other buffer in C.  ``footer``, if given, is read once every
+    column is, so it may be filled while they are read (see
+    ``_with_footer``)."""
+    blank, cut = kind in ("d1", "a"), kind != "d"
+    bufs, stand = [], []
+    for s, col in enumerate(columns, start=1):
+        size = min(s, dims.rows) if cut else dims.rows
+        stand.append(" | " if blank else str(col[size - 1]) + " | ")
+        # The bytes reuse the block of the join, freed by the "+" copy;
+        # a freed block per column, too small for the next one, took
+        # h 500 x 500 from 34.5 to 53 MB of RSS.
+        text = "\n".join(map(str, col[size - 1::-1])) + "\n"
+        bufs.append(io.BytesIO(text.encode("ascii")))
+        del text  # freed before the next column's text is made, not after
+    readline = io.BytesIO.readline
+    out.write("| t\\s | " + " | ".join(map(str, range(1, dims.cols + 1))) + " |\n")
+    out.write("|" + " --- |" * (dims.cols + 1) + "\n")
     for t in range(dims.rows, 0, -1):
-        cell = itemgetter(t - 1)
-        if blank_wedge:
-            cells = chain([""] * min(t - 1, cols), map(cell, texts[t - 1:]))
-        else:
-            cells = map(cell, texts)
-        out.write(f"| {t} | " + " | ".join(cells) + " |\n")
+        k = min(t - 1, dims.cols) if cut else 0  # the columns short of row t
+        tail = b"".join(map(readline, bufs[k:])).replace(b"\n", b" | ")
+        row = f"| {t} | {''.join(stand[:k])}{tail.decode('ascii')}"
+        out.write(row[:-1] + "\n")  # "... | " ends as "... |\n"
     if footer is not None:
         out.write("| H(s,s) | " + " | ".join(map(str, footer)) + " |\n")
 

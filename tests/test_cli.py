@@ -461,7 +461,7 @@ HUGE = "100000000000000000000"  # 10^20, past any index-sized integer
         (["sequence", "--target", "d1-bottom-row", "-m", HUGE, "--max-n", "1"],
          False),
         (["words", "--length", HUGE, "--start", "1", "--cap", HUGE], False),
-        (["table", "--kind", "d1", "-m", "10000000000", "-n", "1"], True),
+        (["table", "--kind", "d1", "-m", "1000000000", "-n", "1"], True),
         (["sequence", "--target", "imn-fixed-m", "-m", "3",
           "--max-n", "100000000000"], True),
         (["table", "--kind", "d1", "-m", "1", "-n", "100000000000",
@@ -473,7 +473,7 @@ HUGE = "100000000000000000000"  # 10^20, past any index-sized integer
 def test_huge_sizes_end_in_one_error_line(argv, memory_limited):
     # A table or sequence past the work budget is refused before any
     # allocation, the 10^20 sizes among them; a word length past an
-    # index-sized integer raises OverflowError, and a 10^10-row column
+    # index-sized integer raises OverflowError, and a 10^9-row column
     # still fits the budget but not the address space, so it raises
     # MemoryError.  Each ends in one line.  The over-budget sequence ran
     # out of memory after 6.5 s when it kept its values, and the 10^11-
@@ -486,9 +486,10 @@ def test_huge_sizes_end_in_one_error_line(argv, memory_limited):
 
 def test_work_budget_admits_every_benchmark_size_and_refuses_endless_ones():
     # The largest table-render request and the largest long-span
-    # sequences fit the budget many times over; the two requests that ran
-    # without end or until memory ran out do not.
-    for rows, cols in [(1000, 1000), (16, 6000), (4, 12000)]:
+    # sequences fit the budget many times over, and so does a 1-row
+    # sequence of 3,000,000 values, whose values are all 1; the two
+    # requests that ran without end or until memory ran out do not.
+    for rows, cols in [(1000, 1000), (16, 6000), (4, 12000), (1, 3000000)]:
         cli._check_work(TableDims(rows, cols))
     for rows, cols in [(1, 100000000000), (3, 100000000000)]:
         with pytest.raises(ValueError, match=r"past the work budget of 10\^13$"):
@@ -530,9 +531,17 @@ def test_long_sequence_is_written_as_it_is_marched():
     assert peak < 5 << 20, peak
 
 
+def test_markdown_keeps_each_column_as_one_buffer():
+    # Markdown keeps every column until its rows are printed, as one
+    # buffer of its texts' bytes per column: about 7.4 MiB of traced peak
+    # for d1 400 x 400, where one str per cell peaked at 12.2 MiB.
+    peak = _traced_peak("table", "--kind", "d1", "-m", "400", "-n", "400")
+    assert peak < 9 << 20, peak
+
+
 def test_footer_keeps_no_column_of_values():
-    # Each footer entry is summed as its column's texts are made, so the
-    # footer costs about nothing over the texts markdown keeps anyway;
+    # Each footer entry is summed as its column's buffer is made, so the
+    # footer costs about nothing over the buffers markdown keeps anyway;
     # keeping the whole Decimal table for it nearly doubled the peak.
     argv = ("table", "--kind", "d1", "-m", "200", "-n", "200")
     assert _traced_peak(*argv, "--hss-footer") < 1.1 * _traced_peak(*argv)

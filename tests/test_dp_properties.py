@@ -162,6 +162,8 @@ def test_sequence_output_is_the_int_march_text(target, rows, max_n, fmt):
 @example("d", "csv", False, 20, 60)
 @example("h", "json", False, 20, 60)
 @example("d1", "markdown", True, 20, 60)
+@example("h", "markdown", False, 20, 60)  # the band reaches the top mid-table
+@example("h", "markdown", False, 20, 5)  # every column is short
 def test_table_output_is_the_int_table_text(kind, fmt, footer, rows, cols):
     # At 60 columns the values pass Decimal's default 28 digits.
     if kind == "a":
