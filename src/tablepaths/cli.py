@@ -3,17 +3,16 @@
 Subcommands: ``table`` renders a counting family, ``count`` evaluates
 one pair count, ``sequence`` emits a sequence, ``verify`` drives the
 identity suite and ``words`` lists matching lattice words; every form of
-a ``verify`` report (json, markdown, csv) is rendered here.  Kinds and
-targets name ``dp`` families.  A table is streamed from ``dp``'s column
-march, not built by ``dp.build``: csv and json write each column as it
-is marched, made in one join, so each value's text is copied once;
-markdown, which prints rows, keeps each column as one buffer of its
-texts' ASCII bytes, a line per row, and joins each row's lines in C.  A
-short column's last entry stands for every row above it: its text is
-made once and repeated.  A sequence streams too: its values are marched
-as its write batches are formatted.
-Nothing goes through the memo ``dp.cached``, so no big table outlives
-its request.
+a ``verify`` report (json, markdown, csv) is rendered here.  A table is
+streamed from ``dp.columns``, not built by ``dp.build``: csv and json
+write each column as it is marched, made in one join, so each value's
+text is copied once; markdown, which prints rows, keeps each column as
+one buffer of its texts' ASCII bytes, a line per row, sums its footer
+entry in the same pass, and joins each row's lines in C.  A short
+column's last entry stands for every row above it: its text is made
+once and repeated.  A sequence reduces each column of a table kind's
+march to a value as its write batches are formatted.  Nothing goes
+through the memo ``dp.cached``, so no big table outlives its request.
 
 Every request is a fresh process, so each command imports only what it
 runs: all of them load ``dp`` and ``core``, ``table`` and ``sequence``
@@ -22,8 +21,8 @@ add ``decimal``, ``words`` adds ``oracle``, and ``verify`` adds
 
 Exit codes: 0 success, 1 refusal or stdout closed early, 2
 verification mismatch.  A refusal prints one ``error:`` line: it is a
-``ValueError`` (bad usage, a ``table`` or ``sequence`` past the work
-budget ``WORK_BUDGET``, checked from the arguments before any
+``ValueError`` (bad usage, a ``table``, ``sequence`` or ``count`` past
+the work budget ``WORK_BUDGET``, checked from the arguments before any
 allocation, a word length past the ``--cap`` enumeration cap, a
 ``count`` value past the int->str digit limit), an ``OverflowError`` or
 a ``MemoryError`` (a size too large to index or allocate).  Any other
@@ -45,7 +44,8 @@ import os
 import sys
 from contextlib import contextmanager
 from itertools import chain, count, islice
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from operator import itemgetter
+from typing import Iterable, Optional, Sequence, TextIO
 
 from . import dp
 from .core import Cell, TableDims
@@ -55,13 +55,14 @@ FORMATS = ("csv", "json", "markdown")
 LIST_FORMATS = ("plain", "csv", "json")  # sequence values and words
 TABLE_KINDS = {"d1": ("di_table", 1), "d": ("d_table",), "a": ("a_table",),
                "h": ("h_table",)}  # kind -> dp's (family, *start row)
-SEQUENCE_TARGETS = {"imn-fixed-m": "imn_sequence", "d1-bottom-row": "d1_bottom_row"}
+SEQUENCE_TARGETS = {"imn-fixed-m": ("d", sum),  # target -> (kind, column reducer)
+                    "d1-bottom-row": ("d1", itemgetter(0))}
 WORD_BATCH = 4096  # words formatted per write
 SEQUENCE_BATCH = 256  # sequence values formatted per write: each may be long
-# The cost of a table or sequence march (see ``_check_work``): d1 1000 x
-# 1000 costs 9.0e9 and takes about 0.55 s, and the budget admits at most
-# about 45 minutes of march, a 1-row table of 1.4e9 columns.
-WORK_BUDGET = 10**13
+# The cost of a request (see ``_check_work``): d1 1000 x 1000 costs 9.0e9
+# and takes about 0.55 s, and the budget admits at most about 45 minutes
+# of march, a 1-row table of 1.4e9 columns, or 10^9 bytes of markdown.
+WORK_BUDGET, TEXT_BYTE_COST = 10**13, 10**4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,7 +133,7 @@ def _decimal(value: int) -> str:
                          "past the int->str conversion limit") from None
 
 
-def _check_work(dims: TableDims) -> None:
+def _check_work(dims: TableDims, markdown_kind: str = "") -> None:
     """Refuse a march over ``dims`` whose cost is past ``WORK_BUDGET``:
     its cells times the bits of its largest value, plus 7,000 per cell.
     The largest value is at most rows * 3^(cols-1) in every family, and
@@ -140,20 +141,29 @@ def _check_work(dims: TableDims) -> None:
     min(rows - 1, 2) * cols + rows.bit_length() bits.  The constant is
     the measured cost of a cell that carries almost no bits: a 1-row
     table's column takes about 1.9 us, close to 7,000 cell-bits at the
-    3.6e9 cell-bits/s of d1 1000 x 1000."""
+    3.6e9 cell-bits/s of d1 1000 x 1000.  A markdown table of
+    ``markdown_kind`` also keeps its text, at ``TEXT_BYTE_COST`` a byte:
+    per column, min(s, rows) values (``rows`` for d) and a stand-in or
+    footer entry, each in its digits and a newline, and 250 bytes for
+    the buffer and header (a 1-row table grows by about 230 a column)."""
     rows, cols = dims.rows, dims.cols
-    cost = rows * cols * (min(rows - 1, 2) * cols + rows.bit_length() + 7000)
+    bits = min(rows - 1, 2) * cols + rows.bit_length()
+    cost = rows * cols * (bits + 7000)
+    if markdown_kind:  # 0.30103 > log10(2)
+        kept = (rows if markdown_kind == "d" else min(rows, cols)) + 1
+        cost += TEXT_BYTE_COST * cols * (kept * (bits * 30103 // 100000 + 2) + 250)
     if cost > WORK_BUDGET:
         import math  # log10 sizes an int of any length; loaded only to refuse
 
+        what = "markdown table" if markdown_kind else "march"
         raise ValueError(
-            f"a {rows} x {cols} march needs about 10^{math.log10(cost):.1f} "
+            f"a {rows} x {cols} {what} needs about 10^{math.log10(cost):.1f} "
             f"cell-bits, past the work budget of 10^{math.log10(WORK_BUDGET):.0f}")
 
 
 def _texts(col, rows: int) -> list[str]:
     """The texts of a column's ``rows`` values.  A short column's last entry
-    stands for every row above it (see ``dp._march``): its text is made
+    stands for every row above it (see ``dp.columns``): its text is made
     once and repeated."""
     texts = [*map(str, col)]
     return texts + texts[-1:] * (rows - len(texts))
@@ -206,7 +216,7 @@ def render_table_json(out: TextIO, dims: TableDims, columns: Iterable,
 
 
 def render_table_markdown(out: TextIO, dims: TableDims, columns: Iterable,
-                          kind: str, footer: Optional[list] = None) -> None:
+                          kind: str, footer: bool = False) -> None:
     """Rows are printed top row first, so every column is kept before the
     first write, as one ASCII buffer of its texts, top row first, one per
     line.  Column s of a start-row family keeps only its rows <= s: above
@@ -215,14 +225,16 @@ def render_table_markdown(out: TextIO, dims: TableDims, columns: Iterable,
     that total, or the blank, is the column's stand-in text, made once.
     A column so holds min(s, rows) texts (``d``'s are full), the columns
     short of row t are the first t - 1, and each row joins one line of
-    every other buffer in C.  ``footer``, if given, is read once every
-    column is, so it may be filled while they are read (see
-    ``_with_footer``)."""
-    blank, cut = kind in ("d1", "a"), kind != "d"
-    bufs, stand = [], []
+    every other buffer in C.  With ``footer``, column s's H(s, min(s,
+    rows)) entry, the sum of its rows up to s as in ``dp.hss_values``, is
+    summed in the same pass, so no column is kept for it."""
+    cut = kind != "d"
+    bufs, stand, sums = [], [], []
     for s, col in enumerate(columns, start=1):
         size = min(s, dims.rows) if cut else dims.rows
-        stand.append(" | " if blank else str(col[size - 1]) + " | ")
+        stand.append(str(col[size - 1]) + " | " if kind == "h" else " | ")
+        if footer:
+            sums.append(sum(col[:s]))
         # The bytes reuse the block of the join, freed by the "+" copy;
         # a freed block per column, too small for the next one, took
         # h 500 x 500 from 34.5 to 53 MB of RSS.
@@ -237,17 +249,8 @@ def render_table_markdown(out: TextIO, dims: TableDims, columns: Iterable,
         tail = b"".join(map(readline, bufs[k:])).replace(b"\n", b" | ")
         row = f"| {t} | {''.join(stand[:k])}{tail.decode('ascii')}"
         out.write(row[:-1] + "\n")  # "... | " ends as "... |\n"
-    if footer is not None:
-        out.write("| H(s,s) | " + " | ".join(map(str, footer)) + " |\n")
-
-
-def _with_footer(columns: Iterable, footer: list) -> Iterator:
-    """Yield ``columns``, appending column s's ``--hss-footer`` entry,
-    H(s, min(s, rows)) = ``sum(col[:s])`` as in ``dp.hss_values``, to
-    ``footer`` as each one is read, so no column is kept for the footer."""
-    for s, col in enumerate(columns, start=1):
-        footer.append(sum(col[:s]))
-        yield col
+    if footer:
+        out.write("| H(s,s) | " + " | ".join(map(str, sums)) + " |\n")
 
 
 def _cmd_table(args) -> int:
@@ -255,41 +258,42 @@ def _cmd_table(args) -> int:
         raise ValueError("--hss-footer requires --kind d1 and markdown format")
     family, *start = TABLE_KINDS[args.kind]
     dims = TableDims(args.rows, args.cols)
-    _check_work(dims)
+    _check_work(dims, args.kind if args.format == "markdown" else "")
     with _exact_decimals() as one:
         # Every check, and column 1, comes before the first write.
-        columns = dp._columns(family, dims.rows, dims.cols, *start, one=one)
+        columns = dp.columns(family, dims.rows, dims.cols, *start, one=one)
         if args.format == "csv":
             render_table_csv(sys.stdout, dims, columns)
         elif args.format == "json":
             render_table_json(sys.stdout, dims, columns, args.kind)
         else:
-            footer = None
-            if args.hss_footer:  # summed in the pass that makes the texts
-                footer = []
-                columns = _with_footer(columns, footer)
-            render_table_markdown(sys.stdout, dims, columns, args.kind, footer)
+            render_table_markdown(sys.stdout, dims, columns, args.kind,
+                                  args.hss_footer)
     return 0
 
 
 def _cmd_count(args) -> int:
     dims = TableDims(args.rows, args.cols)
-    count = dp.bounded_pair_count(
-        dims, Cell(args.from_col, args.from_row), Cell(args.to_col, args.to_row)
-    )
+    start, end = Cell(args.from_col, args.from_row), Cell(args.to_col, args.to_row)
+    low, high = dp.pair_strip(dims, start, end)
+    if low < high:  # one row in reach leaves only flat steps: no walk
+        _check_work(TableDims(high - low + 1, end.col - start.col + 1))
+    count = dp.bounded_pair_count(dims, start, end)
     sys.stdout.write(_decimal(count) + "\n")
     return 0
 
 
 def _cmd_sequence(args) -> int:
     _check_work(TableDims(args.rows, args.max_n))
+    kind, reduce = SEQUENCE_TARGETS[args.target]
+    family, *start = TABLE_KINDS[kind]
     head = f'  "target": "{args.target}",\n  "rows": {args.rows},\n'
     line = "{0[0]},{0[1]}\n" if args.format == "csv" else "{0[1]}\n"
-    # The values are marched as their batches are written, so the writes
-    # stay inside the exact context too.
+    # The values are the table's columns reduced as they are marched and
+    # their batches written, so the writes stay inside the exact context.
     with _exact_decimals() as one:
-        values = dp._sequence(SEQUENCE_TARGETS[args.target], args.rows,
-                              args.max_n, one)
+        values = map(reduce, dp.columns(family, args.rows, args.max_n, *start,
+                                        one=one))
         _write_list(args.format, enumerate(map(str, values), start=1),
                     SEQUENCE_BATCH, head, "values",
                     '    [\n      {0[0]},\n      "{0[1]}"\n    ]'.format,

@@ -12,10 +12,10 @@ s, as every other row is zero.  Until the band reaches the top row its
 columns are short: they stop one row above the band, and that last
 entry stands for every row above it (0 for D^i and A, the column total
 for H).  Each step is a kernel that adds whole shifted columns with
-``map(add, ...)``, so its loop over rows runs in C.  ``_columns`` is the
+``map(add, ...)``, so its loop over rows runs in C.  ``columns`` is the
 one switch from a family name to a first column and a step: the CLI's
-``table`` streams its columns, and the four table builders pad them to
-full height, one at a time, into a CountMatrix.
+``table`` streams its columns, ``sequence`` reduces each to a value, and
+the four table builders pad them to full height into a CountMatrix.
 ``build`` names a builder by family, and ``cached``, the memo shared by
 the verifier's engine side and the closed forms, wraps it.
 
@@ -23,9 +23,9 @@ Confinement is enforced by clipping the stencil at the vector ends; the
 virtual rows 0 and rows+1 are never stored.
 
 A pair count reflects instead: ``bounded_pair_count`` cuts the strip to
-the rows its walk can reach, and reflection in the walls makes its count
-a difference of two walk counts on the cycle Z/(2m + 2), which
-``_cycle_walks`` gets by splitting each walk at its middle column.
+the rows its walk can reach (``pair_strip``), and reflection in the walls
+makes its count a difference of two walk counts on the cycle Z/(2m + 2),
+which ``_cycle_walks`` gets by splitting each walk at its middle column.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache
 from itertools import accumulate
-from operator import add, itemgetter, mul
+from operator import add, mul
 from typing import Iterable, Iterator
 
 from .core import Cell, CountMatrix, TableDims, check_pair
@@ -96,15 +96,15 @@ def _march(col: list[int], cols: int, advance=_advance3,
         yield col
 
 
-def _last(columns: Iterable[list[int]]) -> list[int]:
+def _last(marched: Iterable[list[int]]) -> list[int]:
     """Run a march to its end, keeping only the last column."""
-    return deque(columns, maxlen=1)[0]
+    return deque(marched, maxlen=1)[0]
 
 
 _FAMILIES = ("di_table", "d_table", "h_table", "a_table")  # what ``build`` builds
 
 
-def _columns(family: str, rows: int, cols: int, *start: int, one=1) -> Iterator[list]:
+def columns(family: str, rows: int, cols: int, *start: int, one=1) -> Iterator[list]:
     """The columns of ``family``'s ``rows`` x ``cols`` table, column 1 first,
     each a list, bottom row first, marched on columns whose unit is ``one``.
     A column may be short: its last entry then stands for every row above
@@ -113,7 +113,9 @@ def _columns(family: str, rows: int, cols: int, *start: int, one=1) -> Iterator[
     The one switch from a family name (``di_table`` with its ``start``
     row, ``d_table``, ``h_table`` or ``a_table``) to a first column and a
     step.  Every check raises here, at the call, and the first column is
-    made here too; the march after it is lazy.
+    made here too; the march after it is lazy.  It only adds, so a Decimal
+    ``one`` in a context that cannot round gives the int values exactly,
+    if the march is read to its end inside that context.
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown table family {family!r}")
@@ -121,7 +123,7 @@ def _columns(family: str, rows: int, cols: int, *start: int, one=1) -> Iterator[
     if family == "d_table":
         return _march([one] * rows, cols)
     if family == "h_table":
-        return map(list, map(accumulate, _columns("di_table", rows, cols, 1, one=one)))
+        return map(list, map(accumulate, columns("di_table", rows, cols, 1, one=one)))
     if family == "a_table":
         if cols != rows:
             raise ValueError("kind 'a' is a square family; use --rows == --cols")
@@ -133,23 +135,23 @@ def _columns(family: str, rows: int, cols: int, *start: int, one=1) -> Iterator[
     return _march(_unit_column(rows, row, one), cols, advance, (row - 1, row))
 
 
-def _padded(columns: Iterable[list], rows: int) -> Iterator[list]:
-    """Each of ``columns`` as ``rows`` rows: a short column is padded with
-    its last entry, which stands for every row above it.  Lazy, so a
-    CountMatrix made from it holds one padded list at a time."""
-    return (col + col[-1:] * (rows - len(col)) for col in columns)
+def _padded(marched: Iterable[list], rows: int) -> Iterator[list]:
+    """Each of the ``marched`` columns as ``rows`` rows: a short column is
+    padded with its last entry, which stands for every row above it.  Lazy,
+    so a CountMatrix made from it holds one padded list at a time."""
+    return (col + col[-1:] * (rows - len(col)) for col in marched)
 
 
 def di_table(dims: TableDims, start_row: int) -> CountMatrix:
     """Counts of confined paths from (1, start_row) to every cell."""
-    columns = _columns("di_table", dims.rows, dims.cols, start_row)
-    return CountMatrix(dims, _padded(columns, dims.rows))
+    marched = columns("di_table", dims.rows, dims.cols, start_row)
+    return CountMatrix(dims, _padded(marched, dims.rows))
 
 
 def d_table(dims: TableDims) -> CountMatrix:
     """Counts of confined paths from anywhere in column 1 to every cell."""
-    columns = _columns("d_table", dims.rows, dims.cols)
-    return CountMatrix(dims, _padded(columns, dims.rows))
+    marched = columns("d_table", dims.rows, dims.cols)
+    return CountMatrix(dims, _padded(marched, dims.rows))
 
 
 def a_table(n: int) -> CountMatrix:
@@ -159,7 +161,7 @@ def a_table(n: int) -> CountMatrix:
     The n-row window is exact, not an approximation: an entry needs
     t <= s <= n, so the top wall is never reached.
     """
-    return CountMatrix(TableDims(n, n), _padded(_columns("a_table", n, n), n))
+    return CountMatrix(TableDims(n, n), _padded(columns("a_table", n, n), n))
 
 
 def h_table(dims: TableDims) -> CountMatrix:
@@ -168,16 +170,16 @@ def h_table(dims: TableDims) -> CountMatrix:
     Entry (s, t) counts paths from (1, 1) to column s ending in any row
     up to t; entry (s, rows) counts all paths from (1, 1) to column s.
     """
-    columns = _columns("h_table", dims.rows, dims.cols)
-    return CountMatrix(dims, _padded(columns, dims.rows))
+    marched = columns("h_table", dims.rows, dims.cols)
+    return CountMatrix(dims, _padded(marched, dims.rows))
 
 
 def build(family: str, rows: int, cols: int, *start: int) -> CountMatrix:
     """A new ``rows`` x ``cols`` table of ``family``: ``di_table`` with its
     ``start`` row, ``d_table``, ``h_table``, or ``a_table`` (rows == cols).
-    ``_columns`` checks the request first; the builder is looked up at call
+    ``columns`` checks the request first; the builder is looked up at call
     time, so a patched one sees every build."""
-    _columns(family, rows, cols, *start)
+    columns(family, rows, cols, *start)
     make = globals()[family]
     return make(rows) if family == "a_table" else make(TableDims(rows, cols), *start)
 
@@ -212,11 +214,18 @@ def _cycle_walks(n: int, steps: int, ends: Iterable[int]) -> list[int]:
     return [sum(map(mul, half, other[e::-1] + other[:e:-1])) for e in ends]
 
 
-def bounded_pair_count(dims: TableDims, start: Cell, end: Cell) -> int:
-    """Number of confined paths between two cells of the table."""
+def pair_strip(dims: TableDims, start: Cell, end: Cell) -> tuple[int, int]:
+    """The rows ``low..high`` that a path between two cells of the table can
+    reach: those within its number of steps of the start row."""
     check_pair(dims, start, end)
     steps = end.col - start.col
-    low, high = max(1, start.row - steps), min(dims.rows, start.row + steps)
+    return max(1, start.row - steps), min(dims.rows, start.row + steps)
+
+
+def bounded_pair_count(dims: TableDims, start: Cell, end: Cell) -> int:
+    """Number of confined paths between two cells of the table."""
+    low, high = pair_strip(dims, start, end)
+    steps = end.col - start.col
     if not low <= end.row <= high:  # the strip is cut to the rows in reach
         return 0
     if low == high:  # one row: only flat steps fit
@@ -230,33 +239,17 @@ def bounded_pair_count(dims: TableDims, start: Cell, end: Cell) -> int:
 
 def imn(dims: TableDims) -> int:
     """Number of paths crossing the whole table, any start and end row."""
-    return sum(_last(_columns("d_table", dims.rows, dims.cols)))
-
-
-def _sequence(family: str, rows: int, max_cols: int, one=1) -> Iterator:
-    """The values of ``family`` (``imn_sequence`` or ``d1_bottom_row``) for
-    s = 1..max_cols, marched on columns whose unit is ``one``.  The march
-    only adds, so a ``decimal.Decimal`` one in a context that cannot round
-    gives the same values as Decimals, whose ``str`` takes linear time.
-
-    Every check raises here, at the call; the values then come lazily, one
-    column step each, so a Decimal march must be consumed inside that
-    exact context, not only started in it."""
-    if family not in ("imn_sequence", "d1_bottom_row"):
-        raise ValueError(f"unknown sequence {family!r}")
-    if family == "imn_sequence":
-        return map(sum, _columns("d_table", rows, max_cols, one=one))
-    return map(itemgetter(0), _columns("di_table", rows, max_cols, 1, one=one))
+    return sum(_last(columns("d_table", dims.rows, dims.cols)))
 
 
 def imn_sequence(rows: int, max_cols: int) -> list[int]:
     """Whole-table counts for widths 1..max_cols at a fixed height."""
-    return list(_sequence("imn_sequence", rows, max_cols))
+    return list(map(sum, columns("d_table", rows, max_cols)))
 
 
 def d1_bottom_row(rows: int, max_cols: int) -> list[int]:
     """Bottom-row counts of the start-row-1 family for s = 1..max_cols."""
-    return list(_sequence("d1_bottom_row", rows, max_cols))
+    return [col[0] for col in columns("di_table", rows, max_cols, 1)]
 
 
 def free_count(net: int, steps: int) -> int:

@@ -14,9 +14,9 @@ evaluator; a ``sides`` function giving, for one prefix of the outer
 axes, the line of engine values and formula values over the last axis;
 its default domain and expected verdict; and, if it can be calibrated,
 a search box.  Engine tables come from ``dp.cached``, the table memo
-the closed forms read too, at the run's upper bounds.  Formulas are
-looked up by name at every point, so a wrapped module attribute sees
-every call, and each call runs its own argument checks; ``formulas``
+the closed forms read too, at the run's upper bounds.  A formula is
+looked up by name once per walk, so one wrapped before a run sees every
+call, and each call runs its own argument checks; ``formulas``
 answers repeated D-BOUNDARY and free-count values from its own bounded
 value memos.
 
@@ -39,8 +39,6 @@ PASS = "PASS"
 FAIL = "FAIL"
 DOCUMENTED_FAILURE = "DOCUMENTED-FAILURE"
 DOCUMENTED_FAILURE_CONFIRMED = "DOCUMENTED-FAILURE-CONFIRMED"
-
-_FORMULAS = vars(formulas)  # read by name at every point, so patches apply
 
 
 class IdentitySpec(NamedTuple):
@@ -75,51 +73,51 @@ def _triangle(family: str, *start: int) -> Callable:
     """Sides for t <= s read from column s of one s x s table."""
     return lambda hi, fn, s, ts: (
         _rows(dp.cached(family, hi["s"], hi["s"], *start).column(s), ts),
-        [_FORMULAS[fn](s, t) for t in ts],
+        [fn(s, t) for t in ts],
     )
 
 
 def _h_square(hi, fn, m, ns):
     d1 = dp.cached("di_table", m, hi["n"], 1)  # H(n, m) sums its column n
-    return [sum(d1.column(n)) for n in ns], [_FORMULAS[fn](n, m) for n in ns]
+    return [sum(d1.column(n)) for n in ns], [fn(n, m) for n in ns]
 
 
 def _d1_split(hi, fn, m, n, ss):
     truth = dp.cached("di_table", m, hi["n"], 1).get(n, m)
-    return [truth] * len(ss), [_FORMULAS[fn](n, m, s) for s in ss]
+    return [truth] * len(ss), [fn(n, m, s) for s in ss]
 
 
 def _d_boundary(hi, fn, m, n, s, ts):
     dims, table = TableDims(m, n), dp.cached("d_table", m, hi["n"])
-    return _rows(table.column(s), ts), [_FORMULAS[fn](dims, s, t) for t in ts]
+    return _rows(table.column(s), ts), [fn(dims, s, t) for t in ts]
 
 
 def _inner_product(hi, fn, m, n, cols):  # I_m(n) sums column n of D
     truth, dims = sum(dp.cached("d_table", m, hi["n"]).column(n)), TableDims(m, n)
-    return [truth] * len(cols), [_FORMULAS[fn](dims, a) for a in cols]
+    return [truth] * len(cols), [fn(dims, a) for a in cols]
 
 
 def _s_free(hi, fn, y, xs):
     # One unwalled march per point: there is no table to share.
-    return [dp.free_count(x, y) for x in xs], [_FORMULAS[fn](x, y) for x in xs]
+    return [dp.free_count(x, y) for x in xs], [fn(x, y) for x in xs]
 
 
 def _s2(hi, fn, m, span, r0, ends):
     # Column span + 1 from (1, r0); only the window bounds span in a suite.
     table = dp.cached("di_table", m, hi.get("span", m + 1) + 1, r0)
     dims, start = TableDims(m, span + 1), Cell(1, r0)
-    rhs = [_FORMULAS[fn](dims, start, Cell(span + 1, r1)) for r1 in ends]
+    rhs = [fn(dims, start, Cell(span + 1, r1)) for r1 in ends]
     return _rows(table.column(span + 1), ends), rhs
 
 
 def _motzkin(hi, fn, ss):
     d1 = dp.cached("di_table", hi["s"], hi["s"], 1)
-    return [d1.get(s, 1) for s in ss], [_FORMULAS[fn](s - 1) for s in ss]
+    return [d1.get(s, 1) for s in ss], [fn(s - 1) for s in ss]
 
 
 def _catalan(hi, fn, ks):
     a = dp.cached("a_table", 2 * hi["k"] + 1, 2 * hi["k"] + 1)
-    return [a.get(2 * k + 1, 1) for k in ks], [_FORMULAS[fn](k) for k in ks]
+    return [a.get(2 * k + 1, 1) for k in ks], [fn(k) for k in ks]
 
 
 def _flip(hi, fn, m, i, n, s, ts):
@@ -208,7 +206,8 @@ def _lines(row: _Identity, box: Mapping, probe: bool):
     order: a suite run is also cut to the window, a ``probe`` is not and
     checks the unguarded evaluator instead."""
     upper = {axis: hi for axis, (_, hi) in box.items()}
-    fn = row.window[2] if probe and row.window else row.formula
+    name = row.window[2] if probe and row.window else row.formula
+    fn = getattr(formulas, name) if name else None  # read per walk: patches apply
     window = dict([row.window[:2]]) if row.window and not probe else {}
     # A window lies within its axis's bounds, so it stands in for them.
     cuts = [(a, window.get(a, b), *box.get(a, (-inf, inf))) for a, b in row.axes]

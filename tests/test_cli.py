@@ -56,6 +56,16 @@ def test_unknown_table_kind_is_usage_error(capsys):
     assert code == 1 and err
 
 
+@pytest.mark.parametrize("target", ["bogus", "d1_table", "imn_sequence", ""])
+def test_unknown_sequence_target_is_usage_error(capsys, target):
+    # Only the two targets march; any other is refused before any work,
+    # not read as the start-row-1 bottom row.
+    code, out, err = run_cli(capsys, "sequence", "--target", target, "-m", "3",
+                             "--max-n", "4")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: argument --target: invalid choice")
+
+
 def test_table_csv_golden_line(capsys):
     code, out, _ = run_cli(
         capsys, "table", "--kind", "a", "-m", "8", "-n", "8", "--format", "csv"
@@ -466,18 +476,22 @@ HUGE = "100000000000000000000"  # 10^20, past any index-sized integer
           "--max-n", "100000000000"], True),
         (["table", "--kind", "d1", "-m", "1", "-n", "100000000000",
           "--format", "csv"], False),
+        (["count", "-m", "3", "-n", "100000000000", "--from-col", "1",
+          "--from-row", "1", "--to-col", "100000000000", "--to-row", "1"], True),
     ],
     ids=["table-overflow", "sequence-overflow", "words-overflow",
-         "table-out-of-memory", "sequence-over-budget", "table-over-budget"],
+         "table-out-of-memory", "sequence-over-budget", "table-over-budget",
+         "count-over-budget"],
 )
 def test_huge_sizes_end_in_one_error_line(argv, memory_limited):
-    # A table or sequence past the work budget is refused before any
-    # allocation, the 10^20 sizes among them; a word length past an
+    # A table, sequence or count past the work budget is refused before
+    # any allocation, the 10^20 sizes among them; a word length past an
     # index-sized integer raises OverflowError, and a 10^9-row column
     # still fits the budget but not the address space, so it raises
     # MemoryError.  Each ends in one line.  The over-budget sequence ran
-    # out of memory after 6.5 s when it kept its values, and the 10^11-
-    # column csv table streamed without end.
+    # out of memory after 6.5 s when it kept its values, the 10^11-
+    # column csv table streamed without end, and the count was still
+    # running after 5 s.
     proc = _run_child(argv, timeout=60, memory_limited=memory_limited)
     assert (proc.returncode, proc.stdout) == (1, "")
     lines = proc.stderr.splitlines()
@@ -491,6 +505,16 @@ def test_work_budget_admits_every_benchmark_size_and_refuses_endless_ones():
     # requests that ran without end or until memory ran out do not.
     for rows, cols in [(1000, 1000), (16, 6000), (4, 12000), (1, 3000000)]:
         cli._check_work(TableDims(rows, cols))
+    # Every markdown table a test, a CI pin or a benchmark request prints
+    # fits with its text, and so do d1 1000 x 1000 and the 1,000,000-column
+    # one-row table, whose RSS peaks are 128 MB and 245 MB; a start-row
+    # column 1 keeps one value, however tall the table.
+    sizes = [(500, 500), (400, 400), (300, 700), (300, 300), (600, 200),
+             (200, 200), (2, 2200), (1000, 1000), (1, 1000000)]
+    for kind in cli.TABLE_KINDS:
+        for rows, cols in sizes + [(m, n) for m in range(1, 21) for n in range(1, 61)]:
+            cli._check_work(TableDims(rows, cols), kind)
+    cli._check_work(TableDims(1000000000, 1), "d1")
     for rows, cols in [(1, 100000000000), (3, 100000000000)]:
         with pytest.raises(ValueError, match=r"past the work budget of 10\^13$"):
             cli._check_work(TableDims(rows, cols))
@@ -508,6 +532,60 @@ def test_budget_refusal_comes_before_any_write(capsys, argv):
     assert (code, out) == (1, "")
     assert err.startswith("error: a ") and err.endswith(
         "past the work budget of 10^13\n") and err.count("\n") == 1
+
+
+def _refused_by_the_budget(code, out, err):
+    return (code, out) == (1, "") and err.startswith("error: a ") and err.endswith(
+        "past the work budget of 10^13\n") and err.count("\n") == 1
+
+
+def _no_call(*args, **kwargs):
+    raise AssertionError("work started")
+
+
+@pytest.mark.parametrize("kind, rows, cols", [
+    ("h", 3, 300000), ("d", 10000, 10000), ("d1", 1, 10000000),
+])
+def test_markdown_text_past_the_budget_is_refused_before_any_march(
+        capsys, monkeypatch, kind, rows, cols):
+    # Markdown keeps its text until its rows are written: h 3 x 300,000
+    # keeps values of about 180,000 digits and grew to 7.6 GB before it
+    # was killed, and 10^7 one-digit columns keep about 230 bytes each.
+    # Their marches fit the budget; the text they keep does not, and the
+    # refusal comes before any column is asked for.
+    cli._check_work(TableDims(rows, cols))
+    monkeypatch.setattr(cli.dp, "columns", _no_call)
+    code, out, err = run_cli(capsys, "table", "--kind", kind, "-m", str(rows),
+                             "-n", str(cols), "--format", "markdown")
+    assert _refused_by_the_budget(code, out, err), err
+    assert f"a {rows} x {cols} markdown table needs" in err
+
+
+def _count_argv(rows, span, r0, r1):
+    return ("count", "-m", str(rows), "-n", str(span + 1), "--from-col", "1",
+            "--from-row", str(r0), "--to-col", str(span + 1), "--to-row", str(r1))
+
+
+def test_count_budget_admits_every_long_span_size(capsys, monkeypatch):
+    # The long-span benchmark's counts, (8, 60000) among them, are priced
+    # as marches over their strips and fit; the kernel is stubbed, as only
+    # the price is under test.
+    monkeypatch.setattr(cli.dp, "bounded_pair_count", lambda *args: 7)
+    spans = [(8, 60000), (4, 20000), (6, 12000), (16, 7999), (12, 4999),
+             (10, 5999), (5, 3999), (14, 2999), (2, 2199), (1, 10**11)]
+    for rows, span in spans:
+        for r0, r1 in ((1, 1), (1, rows), (rows, 1)):
+            assert run_cli(capsys, *_count_argv(rows, span, r0, r1)) == (0, "7\n", "")
+
+
+@pytest.mark.parametrize("rows", [2, 3, 16])
+def test_count_past_the_budget_is_refused_before_the_walk(capsys, monkeypatch, rows):
+    # 10^11 steps in a strip of two or more rows: the two-row shortcut
+    # would allocate 2^(10^11 - 2), and the cycle kernel ran for minutes.
+    monkeypatch.setattr(cli.dp, "bounded_pair_count", _no_call)
+    code, out, err = run_cli(capsys, *_count_argv(rows, 10**11, 1, 1))
+    assert _refused_by_the_budget(code, out, err), err
+    assert f"a {rows} x {10**11 + 1} march needs" in err
 
 
 def _traced_peak(*argv):
@@ -670,7 +748,7 @@ def test_streamed_tables_match_joined_renderers(rows, cols):
             _joined_markdown(matrix, kind)
         )
     footer = hss_values(table_columns(tables["d1"]))
-    assert _streamed(cli.render_table_markdown, tables["d1"], "d1", footer) == (
+    assert _streamed(cli.render_table_markdown, tables["d1"], "d1", True) == (
         _joined_markdown(tables["d1"], "d1", footer)
     )
 
@@ -932,13 +1010,13 @@ def test_footer_misuse_is_rejected_before_the_table_is_built(capsys, monkeypatch
 
 
 def test_footer_builds_the_start_row_one_table_once(capsys, monkeypatch):
-    marches, real = [], dp._columns
+    marches, real = [], dp.columns
 
     def counted(*args, **kwargs):
         marches.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli.dp, "_columns", counted)
+    monkeypatch.setattr(cli.dp, "columns", counted)
     code, _, _ = run_cli(capsys, "table", "--kind", "d1", "-m", "5", "-n", "10",
                          "--hss-footer")
     assert code == 0 and marches == [("di_table", 5, 10, 1)]

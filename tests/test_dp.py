@@ -13,7 +13,7 @@ from golden_tables import (
     cells_from_rows,
     table_columns,
 )
-from tablepaths import dp
+from tablepaths import cli, dp
 from tablepaths.core import Cell, TableDims
 from tablepaths.dp import (
     a_table,
@@ -249,6 +249,18 @@ def test_d1_bottom_row_matches_tables():
             d1_bottom_row(rows, max_cols)
 
 
+# The CLI's ``sequence`` target of each sequence function.
+SEQUENCE_TARGETS = {"imn_sequence": "imn-fixed-m", "d1_bottom_row": "d1-bottom-row"}
+
+
+def _reduced(family, rows, max_cols, one):
+    """``family``'s values as the CLI's ``sequence`` marches them: its
+    target's reducer over ``dp.columns``."""
+    kind, reduce = cli.SEQUENCE_TARGETS[SEQUENCE_TARGETS[family]]
+    table, *start = cli.TABLE_KINDS[kind]
+    return map(reduce, dp.columns(table, rows, max_cols, *start, one=one))
+
+
 @pytest.mark.parametrize("family", ["imn_sequence", "d1_bottom_row"])
 def test_decimal_march_raises_rather_than_rounds(family):
     # Decimal's default 28 digits round silently: imn-fixed-m at height 8
@@ -258,19 +270,11 @@ def test_decimal_march_raises_rather_than_rounds(family):
         ctx.prec = 28
         # The values come lazily, so each march is read to its end here,
         # inside the context it is meant to run in.
-        rounded = list(dp._sequence(family, 8, 100, decimal.Decimal(1)))
+        rounded = list(_reduced(family, 8, 100, decimal.Decimal(1)))
         ctx.traps[decimal.Inexact] = True
         with pytest.raises(decimal.Inexact):
-            list(dp._sequence(family, 8, 100, decimal.Decimal(1)))
+            list(_reduced(family, 8, 100, decimal.Decimal(1)))
     assert rounded[-1] != getattr(dp, family)(8, 100)[-1]
-
-
-@pytest.mark.parametrize("family", ["bogus", "d1_table", "imn-fixed-m", ""])
-def test_sequence_rejects_an_unknown_family(family):
-    # Only the two sequence names march; any other is refused, not read
-    # as the start-row-1 bottom row.
-    with pytest.raises(ValueError, match=f"^unknown sequence {family!r}$"):
-        dp._sequence(family, 3, 4)
 
 
 @pytest.mark.parametrize("family, start", [("di_table", (1,)), ("d_table", ()),
@@ -285,13 +289,13 @@ def test_decimal_table_march_equals_the_int_table(family, start):
     with decimal.localcontext() as ctx:
         ctx.prec = decimal.MAX_PREC
         ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
-        marched = list(dp._columns(family, rows, cols, *start, one=decimal.Decimal(1)))
+        marched = list(dp.columns(family, rows, cols, *start, one=decimal.Decimal(1)))
         _assert_short_columns(family, rows, 1, marched, want)
         got = dp._padded(marched, rows)
         assert [tuple(map(int, col)) for col in got] == list(want)
         ctx.prec = 28
         with pytest.raises((decimal.Rounded, decimal.Inexact)):
-            list(dp._columns(family, rows, cols, *start, one=decimal.Decimal(1)))
+            list(dp.columns(family, rows, cols, *start, one=decimal.Decimal(1)))
 
 
 def _assert_short_columns(family, rows, r0, marched, full):
@@ -350,7 +354,7 @@ def test_band_march_equals_the_full_column_stencil(rows, unit):
         one = decimal.Decimal(1) if unit == "decimal" else 1
         for family, cols, r0 in _band_requests(rows):
             start = (r0,) if family == "di_table" else ()
-            marched = list(dp._columns(family, rows, cols, *start, one=one))
+            marched = list(dp.columns(family, rows, cols, *start, one=one))
             want = _stencil_columns(family, rows, cols, r0)
             _assert_short_columns(family, rows, r0, marched, want)
             got = list(dp._padded(marched, rows))
@@ -371,7 +375,7 @@ def test_band_march_equals_the_full_column_stencil(rows, unit):
 def test_columns_check_at_the_call_before_any_march(args, message):
     # Errors raise when the columns are asked for, not at the first one.
     with pytest.raises(ValueError, match=message):
-        dp._columns(*args)
+        dp.columns(*args)
 
 
 def test_free_count_examples():

@@ -150,7 +150,8 @@ def test_sequence_output_is_the_int_march_text(target, rows, max_n, fmt):
     with redirect_stdout(out):
         code = cli.main(["sequence", "--target", target, "-m", str(rows),
                          "--max-n", str(max_n), "--format", fmt])
-    values = getattr(dp, cli.SEQUENCE_TARGETS[target])(rows, max_n)
+    build = dp.imn_sequence if target == "imn-fixed-m" else dp.d1_bottom_row
+    values = build(rows, max_n)
     with int_digit_limit(0):
         want = _joined_sequence(target, rows, values, fmt)
     assert (code, out.getvalue()) == (0, want)

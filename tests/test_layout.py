@@ -1,6 +1,6 @@
 """Stdlib-only lint of the package source: no unused imports, no long
 lines, no module import outside its pinned place in the import graph,
-and no public function or class that nothing reads."""
+and no public function, class or method that nothing reads."""
 
 import ast
 from pathlib import Path
@@ -81,8 +81,8 @@ def test_import_graph_is_pinned():
 # Public names no source module reads: the engine's and the oracle's
 # counts that the tests and the benchmark compare, and the documented
 # calibration that the acceptance tests drive.  ``dp.imn_sequence`` and
-# ``dp.d1_bottom_row`` are named only as strings the CLI passes to
-# ``dp._sequence``; the tests and perfbench's ``MARCHES`` call them.
+# ``dp.d1_bottom_row`` reduce ``dp.columns`` as the CLI's ``sequence``
+# does; the tests and perfbench's ``MARCHES`` call them.
 # ``dp.hss_values`` reads a whole table's columns; the CLI sums each
 # footer entry as it renders that column, and the tests compare the two.
 UNCALLED_API = {
@@ -121,18 +121,49 @@ def _bound(stmt: ast.stmt) -> set[str]:
     return {target.id for target in targets if isinstance(target, ast.Name)}
 
 
-def test_every_public_name_has_a_caller():
-    """Each top-level public function and class is read by some source
-    module outside its own definition, or is pinned in UNCALLED_API."""
+def _public(stmt: ast.stmt) -> list[tuple[str, str]]:
+    """(dotted name, name) of a top-level public function or class and of
+    the public methods of a public class."""
+    if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or (
+            stmt.name.startswith("_")):
+        return []
+    names = [(stmt.name, stmt.name)]
+    if isinstance(stmt, ast.ClassDef):
+        names += [(f"{stmt.name}.{f.name}", f.name) for f in stmt.body
+                  if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+    return names
+
+
+def _uncalled(sources: dict[str, str]) -> set[str]:
+    """Public names of the ``sources`` (module -> text) that no statement
+    reads, outside a function's or class's own name."""
     defined, read = [], set()
-    for path in MODULES:
-        for stmt in ast.parse(path.read_text()).body:
-            tables = {(path.stem, name) for name in _bound(stmt)} & NAME_TABLES
+    for module, text in sources.items():
+        for stmt in ast.parse(text).body:
+            tables = {(module, name) for name in _bound(stmt)} & NAME_TABLES
             refs = _references(stmt, strings=bool(tables))
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 refs.discard(stmt.name)
-                if not stmt.name.startswith("_"):
-                    defined.append((path.stem, stmt.name))
+            defined += [(module, dotted, name) for dotted, name in _public(stmt)]
             read |= refs
-    uncalled = {f"{module}.{name}" for module, name in defined if name not in read}
-    assert uncalled == UNCALLED_API
+    return {f"{module}.{dotted}" for module, dotted, name in defined
+            if name not in read}
+
+
+def test_every_public_name_has_a_caller():
+    """Each top-level public function and class, and each public method
+    of a public class, is read by some source module outside its own
+    definition, or is pinned in UNCALLED_API."""
+    assert _uncalled({path.stem: path.read_text() for path in MODULES}) == (
+        UNCALLED_API)
+
+
+def test_a_public_method_without_a_caller_is_found():
+    # A method is read by its attribute name, from any module; one that
+    # nothing reads is reported with its class, and a private one is not.
+    source = ("class Box:\n"
+              "    def get(self): return self.size()\n"
+              "    def size(self): return 1\n"
+              "    def unread(self): return 2\n"
+              "    def _private(self): return 3\n")
+    assert _uncalled({"box": source, "user": "Box().get()\n"}) == {"box.Box.unread"}
