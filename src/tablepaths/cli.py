@@ -11,7 +11,7 @@ one buffer of its texts' ASCII bytes, a line per row, sums its footer
 entry in the same pass, and joins each row's lines in C.  A short
 column's last entry stands for every row above it: its text is made
 once and repeated.  A sequence reduces each column of a table kind's
-march to a value as its write batches are formatted.  Nothing goes
+march to a value as its list's writes are formatted.  Nothing goes
 through the memo ``dp.cached``, so no big table outlives its request.
 
 Every request is a fresh process, so each command imports only what it
@@ -33,7 +33,8 @@ index decreasing downward so they can be compared against printed
 references directly.  Tables and sequences print exact values of any
 size: they are marched on exact Decimals, whose decimal string is
 linear in its digits and meets no digit limit; only ``count`` meets it.
-Lists are written in batches: 256 sequence values or 4,096 words.
+Sequence values and words are written about ``WRITE_BYTES`` at a time,
+however long each one is.
 """
 
 from __future__ import annotations
@@ -57,8 +58,7 @@ TABLE_KINDS = {"d1": ("di_table", 1), "d": ("d_table",), "a": ("a_table",),
                "h": ("h_table",)}  # kind -> dp's (family, *start row)
 SEQUENCE_TARGETS = {"imn-fixed-m": ("d", sum),  # target -> (kind, column reducer)
                     "d1-bottom-row": ("d1", itemgetter(0))}
-WORD_BATCH = 4096  # words formatted per write
-SEQUENCE_BATCH = 256  # sequence values formatted per write: each may be long
+WRITE_BYTES = 1 << 16  # the bytes a list's write aims at: one Linux pipe buffer
 # The cost of a request (see ``_check_work``): d1 1000 x 1000 costs 9.0e9
 # and takes about 0.55 s, and the budget admits at most about 45 minutes
 # of march, a 1-row table of 1.4e9 columns, or 10^9 bytes of markdown.
@@ -89,21 +89,30 @@ def _write_json(out: TextIO, head: str, key: str, chunks: Iterable[str]) -> None
     out.write(opening + ("]\n}\n" if sep == "\n" else "\n  ]\n}\n"))
 
 
-def _write_list(fmt, items, batch, head, key, json_item, csv_header, line) -> None:
-    """Write ``items`` in batches of ``batch``, each formatted as it is
-    read: as the json list ``key`` after the members ``head``, else one
-    ``line`` each, under ``csv_header`` in csv.  Taking the first item
-    before any write keeps errors off stdout."""
+def _write_list(fmt, items, head, key, json_item, csv_header, line) -> None:
+    """Write ``items``, each formatted as it is read: as the json list
+    ``key`` after the members ``head``, else one ``line`` each, under
+    ``csv_header`` in csv.  The first write holds one item; each next
+    one's count is sized from the last one's bytes per item to about
+    ``WRITE_BYTES``, and at most doubles, so a run of short items cannot
+    size a write to take in the long ones after it.  Taking the first
+    item before any write keeps errors off stdout."""
     first = next(items, None)
     if first is not None:
         items = chain([first], items)
     sep, item = (",\n", json_item) if fmt == "json" else ("", line)
-    chunks = iter(lambda: sep.join(map(item, islice(items, batch))), "")
+
+    def chunks():
+        size = 1
+        while chunk := sep.join(map(item, islice(items, size))):
+            yield chunk
+            size = min(2 * size, WRITE_BYTES * size // len(chunk) or 1)
+
     if fmt == "json":
-        return _write_json(sys.stdout, head, key, chunks)
+        return _write_json(sys.stdout, head, key, chunks())
     if fmt == "csv":
         sys.stdout.write(csv_header)
-    sys.stdout.writelines(chunks)
+    sys.stdout.writelines(chunks())
 
 
 @contextmanager
@@ -290,12 +299,12 @@ def _cmd_sequence(args) -> int:
     head = f'  "target": "{args.target}",\n  "rows": {args.rows},\n'
     line = "{0[0]},{0[1]}\n" if args.format == "csv" else "{0[1]}\n"
     # The values are the table's columns reduced as they are marched and
-    # their batches written, so the writes stay inside the exact context.
+    # written, so the writes stay inside the exact context.
     with _exact_decimals() as one:
         values = map(reduce, dp.columns(family, args.rows, args.max_n, *start,
                                         one=one))
         _write_list(args.format, enumerate(map(str, values), start=1),
-                    SEQUENCE_BATCH, head, "values",
+                    head, "values",
                     '    [\n      {0[0]},\n      "{0[1]}"\n    ]'.format,
                     "n,value\n", line.format)
     return 0
@@ -415,8 +424,7 @@ def _cmd_words(args) -> int:
         return f"{w.letters or 'ε'}{sep}{trace}\n"
 
     _write_list(
-        args.format, oracle.enumerate_words(length, filt, cap=cap), WORD_BATCH,
-        "", "words",
+        args.format, oracle.enumerate_words(length, filt, cap=cap), "", "words",
         # Letters are validated to "urd", so they need no JSON escaping.
         lambda w: f'    {{\n      "letters": "{w.letters}",\n'
         f'      "start_row": {w.start_row},\n      "trace": [\n        '

@@ -601,12 +601,13 @@ def _traced_peak(*argv):
 
 
 def test_long_sequence_is_written_as_it_is_marched():
-    # The values stream through the write batches, so the longest
-    # long-span sequence (12,000 values up to 5,015 digits) holds one
-    # batch at a time; kept whole it peaked at about 16 MiB.
+    # The values stream through writes of about cli.WRITE_BYTES, so the
+    # longest long-span sequence (12,000 values up to 5,015 digits) holds
+    # one write at a time: about 0.6 MiB of traced peak.  Kept whole it
+    # peaked at about 16 MiB, and in writes of 256 values at 2.6 MiB.
     peak = _traced_peak("sequence", "--target", "d1-bottom-row", "-m", "4",
                         "--max-n", "12000")
-    assert peak < 5 << 20, peak
+    assert peak < 1 << 20, peak
 
 
 def test_markdown_keeps_each_column_as_one_buffer():
@@ -851,12 +852,12 @@ def test_streamed_words_match_joined_output(capsys, argv, filt, fmt):
 
 @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
 def test_words_stream_in_batches(capsys, fmt):
-    # 3^9 words span several write batches.
+    # 3^9 words span several writes.
     code, out, _ = run_cli(
         capsys, "words", "--length", "9", "--start", "1", "--format", fmt
     )
     words = list(oracle.enumerate_words(9, oracle.WordFilter(start_row=1)))
-    assert len(words) > 4 * cli.WORD_BATCH
+    assert len(out) > 4 * cli.WRITE_BYTES
     assert code == 0 and out == _joined_words(words, fmt)
 
 
@@ -874,7 +875,8 @@ def _joined_sequence(target, rows, values, fmt):
 @pytest.mark.parametrize("fmt", ["plain", "csv", "json", "markdown"])
 @pytest.mark.parametrize("target,rows,max_n", [
     ("imn-fixed-m", 1, 1),
-    ("imn-fixed-m", 1, 48 * cli.SEQUENCE_BATCH + 5),  # many write batches
+    # Many writes: 2-byte plain lines span 4 * cli.WRITE_BYTES.
+    ("imn-fixed-m", 1, 2 * cli.WRITE_BYTES + 5),
     ("d1-bottom-row", 3, 50),
 ])
 def test_streamed_sequence_matches_joined_output(capsys, fmt, target, rows, max_n):
@@ -888,6 +890,47 @@ def test_streamed_sequence_matches_joined_output(capsys, fmt, target, rows, max_
         return
     assert (code, err) == (0, "")
     assert out == _joined_sequence(target, rows, build(rows, max_n), fmt)
+
+
+class _Writes(io.StringIO):
+    """A stdout that keeps the length of every write it receives."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+@pytest.mark.parametrize("fmt", cli.LIST_FORMATS)
+@pytest.mark.parametrize("argv", [
+    ("sequence", "--target", "d1-bottom-row", "-m", "4", "--max-n", "4000"),
+    ("sequence", "--target", "imn-fixed-m", "-m", "8", "--max-n", "3000"),
+    ("words", "--length", "10", "--start", "1"),
+], ids=["d1-bottom-row", "imn-fixed-m", "words"])
+def test_list_writes_are_sized_by_bytes(monkeypatch, argv, fmt):
+    # Values up to 1,671 digits, and json words of about 200 bytes, go out
+    # in writes of about cli.WRITE_BYTES, not of a fixed count of items.
+    out = _Writes()
+    monkeypatch.setattr(sys, "stdout", out)
+    code = cli.main([*argv, "--format", fmt])
+    monkeypatch.undo()
+    assert code == 0 and max(out.sizes) <= 2 * cli.WRITE_BYTES, max(out.sizes)
+    if argv[0] == "words":
+        want = _joined_words(oracle.enumerate_words(
+            10, oracle.WordFilter(start_row=1)), fmt)
+    else:
+        target, rows, max_n = argv[2], int(argv[4]), int(argv[6])
+        build = imn_sequence if target == "imn-fixed-m" else d1_bottom_row
+        with int_digit_limit(0):
+            want = _joined_sequence(target, rows, build(rows, max_n), fmt)
+    assert out.getvalue() == want
 
 
 @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
@@ -1027,6 +1070,8 @@ def test_footer_builds_the_start_row_one_table_once(capsys, monkeypatch):
     ("table", "--kind", "d", "-m", "200", "-n", "200", "--format", "json"),
     ("table", "--kind", "d1", "-m", "300", "-n", "300"),
     ("words", "--length", "10", "--start", "1"),
+    # Its writes run inside the exact Decimal context.
+    ("sequence", "--target", "d1-bottom-row", "-m", "4", "--max-n", "12000"),
 ])
 def test_closed_pipe_exits_one_without_traceback(argv):
     # The output is far larger than a pipe buffer, so the CLI is still

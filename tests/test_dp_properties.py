@@ -145,7 +145,8 @@ def test_pair_count_equals_the_start_row_table(rows, steps, data):
 @example("d1-bottom-row", 3, 700, "csv")
 def test_sequence_output_is_the_int_march_text(target, rows, max_n, fmt):
     # Up to 700 columns the values pass Decimal's default 28 digits and
-    # the list passes one write batch of cli.SEQUENCE_BATCH values.
+    # the list spans several writes: the first holds one value, and each
+    # next one at most twice the values of the last.
     out = io.StringIO()
     with redirect_stdout(out):
         code = cli.main(["sequence", "--target", target, "-m", str(rows),
