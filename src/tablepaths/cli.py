@@ -5,7 +5,7 @@ one pair count, ``sequence`` emits a sequence, ``verify`` drives the
 identity suite and ``words`` lists matching lattice words; every form of
 a ``verify`` report (json, markdown, csv) is rendered here.  A table is
 streamed from ``dp.columns``, not built by ``dp.build``: csv and json
-write each column as it is marched, made in one join, so each value's
+make each column's text in one join as it is marched, so each value's
 text is copied once; markdown, which prints rows, keeps each column as
 one buffer of its texts' ASCII bytes, a line per row, sums its footer
 entry in the same pass, and joins each row's lines in C.  A short
@@ -33,8 +33,10 @@ index decreasing downward so they can be compared against printed
 references directly.  Tables and sequences print exact values of any
 size: they are marched on exact Decimals, whose decimal string is
 linear in its digits and meets no digit limit; only ``count`` meets it.
-Sequence values and words are written about ``WRITE_BYTES`` at a time,
-however long each one is.
+Every streamed output goes through one writer with one write policy: a
+table's columns (a markdown table's rows), a sequence's values and
+words are written about ``WRITE_BYTES`` at a time, however long each
+one is, and one longer than that is written whole, alone.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ import io
 import os
 import sys
 from contextlib import contextmanager
-from itertools import chain, count, islice
+from itertools import chain, islice
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import dp
 from .core import Cell, TableDims
@@ -58,7 +60,7 @@ TABLE_KINDS = {"d1": ("di_table", 1), "d": ("d_table",), "a": ("a_table",),
                "h": ("h_table",)}  # kind -> dp's (family, *start row)
 SEQUENCE_TARGETS = {"imn-fixed-m": ("d", sum),  # target -> (kind, column reducer)
                     "d1-bottom-row": ("d1", itemgetter(0))}
-WRITE_BYTES = 1 << 16  # the bytes a list's write aims at: one Linux pipe buffer
+WRITE_BYTES = 1 << 16  # the bytes a streamed write aims at: one Linux pipe buffer
 # The cost of a request (see ``_check_work``): d1 1000 x 1000 costs 9.0e9
 # and takes about 0.55 s, and the budget admits at most about 45 minutes
 # of march, a 1-row table of 1.4e9 columns, or 10^9 bytes of markdown.
@@ -75,59 +77,53 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _write_json(out: TextIO, head: str, key: str, chunks: Iterable[str]) -> None:
-    """Write ``{<head> "key": [<chunks>]}`` byte for byte as
-    ``json.dumps(obj, indent=2)`` does, whose pure-Python encoder is too
-    slow for big tables.  ``head`` holds the earlier members, rendered;
-    each chunk is a nonempty ",\\n"-joined run of depth-2 list items.  The
-    opening goes out with the first chunk, so nothing is written before
-    that chunk is made."""
-    opening, sep = "{\n" + head + f'  "{key}": [', "\n"
-    for chunk in chunks:
-        out.write(opening + sep + chunk)
-        opening, sep = "", ",\n"
-    out.write(opening + ("]\n}\n" if sep == "\n" else "\n  ]\n}\n"))
-
-
-def _write_list(fmt, items, head, key, json_item, csv_header, line) -> None:
-    """Write ``items``, each formatted as it is read: as the json list
-    ``key`` after the members ``head``, else one ``line`` each, under
-    ``csv_header`` in csv.  The first write holds one item; each next
-    one's count is sized from the last one's bytes per item to about
-    ``WRITE_BYTES``, and at most doubles, so a run of short items cannot
-    size a write to take in the long ones after it.  Taking the first
-    item before any write keeps errors off stdout."""
+def _write_list(out: TextIO, fmt: str, items: Iterator, item, head: str = "",
+                key: str = "", csv_header: str = "") -> None:
+    """Write ``items`` to ``out``, each formatted by ``item`` as it is read:
+    in json as the list ``key`` after the members ``head`` (rendered), byte
+    for byte as ``json.dumps(obj, indent=2)`` writes it, whose pure-Python
+    encoder is too slow for big tables; else back to back, under
+    ``csv_header`` in csv.  Every streamed output, a table's columns or
+    rows, a sequence's values or a list of words, goes out here.  The
+    first write holds one item; each next one's count is sized from the
+    last one's bytes per item to about ``WRITE_BYTES``, and at most
+    doubles, so a run of short items cannot size a write to take in the
+    long ones after it.  An item longer than that goes out whole, alone
+    in its write.  Taking the first item before any write, and the
+    opening with the first item's write, keeps errors off stdout."""
+    opening, sep, gap = csv_header if fmt == "csv" else "", "", ""
+    if fmt == "json":
+        opening, sep, gap = "{\n" + head + f'  "{key}": [', ",\n", "\n"
     first = next(items, None)
     if first is not None:
         items = chain([first], items)
-    sep, item = (",\n", json_item) if fmt == "json" else ("", line)
-
-    def chunks():
-        size = 1
-        while chunk := sep.join(map(item, islice(items, size))):
-            yield chunk
-            size = min(2 * size, WRITE_BYTES * size // len(chunk) or 1)
-
-    if fmt == "json":
-        return _write_json(sys.stdout, head, key, chunks())
-    if fmt == "csv":
-        sys.stdout.write(csv_header)
-    sys.stdout.writelines(chunks())
+    size = 1
+    while chunk := sep.join(map(item, islice(items, size))):
+        out.write(opening + gap + chunk)
+        opening, gap = "", sep
+        size = min(2 * size, WRITE_BYTES * size // len(chunk) or 1)
+        del chunk  # freed before the next chunk is made, not after
+    if fmt == "json":  # the gap is still "\n" if no item was written
+        out.write(opening + ("]\n}\n" if gap == "\n" else "\n  ]\n}\n"))
+    elif opening:  # an empty csv list: its header alone
+        out.write(opening)
 
 
 @contextmanager
-def _exact_decimals():
-    """Yield ``decimal.Decimal(1)`` inside a context in which a march of
-    Decimals is exact: its precision and exponent range are the largest
-    there are, and a rounding would raise.  A Decimal's ``str`` is linear
-    in its digits and meets no int->str limit."""
+def _exact_columns(kind: str, rows: int, cols: int):
+    """Yield the ``dp.columns`` of a ``TABLE_KINDS`` kind, marched on
+    Decimals inside a context in which the march is exact: its precision
+    and exponent range are the largest there are, and a rounding would
+    raise.  A Decimal's ``str`` is linear in its digits and meets no
+    int->str limit.  The columns must be read inside the context."""
     import decimal  # loaded only by table and sequence: the others print ints
 
+    family, *start = TABLE_KINDS[kind]
     with decimal.localcontext() as ctx:
         ctx.prec, ctx.Emax, ctx.Emin = (decimal.MAX_PREC, decimal.MAX_EMAX,
                                         decimal.MIN_EMIN)
         ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
-        yield decimal.Decimal(1)
+        yield dp.columns(family, rows, cols, *start, one=decimal.Decimal(1))
 
 
 def _decimal(value: int) -> str:
@@ -170,29 +166,26 @@ def _check_work(dims: TableDims, markdown_kind: str = "") -> None:
             f"cell-bits, past the work budget of 10^{math.log10(WORK_BUDGET):.0f}")
 
 
-def _texts(col, rows: int) -> list[str]:
-    """The texts of a column's ``rows`` values.  A short column's last entry
-    stands for every row above it (see ``dp.columns``): its text is made
-    once and repeated."""
-    texts = [*map(str, col)]
-    return texts + texts[-1:] * (rows - len(texts))
-
-
-def _column_text(mids: list[str], end: str):
-    """A function that makes a column's text in one join: row t's text is
-    a prefix (``first`` for row 1, ``between`` after it), ``mids[t-1]``
-    and the value's ``str``; ``end`` closes the column.  The piece list
-    is made once, with ``mids`` and ``end`` in it, and each column
-    assigns only its prefixes and values, so each value's text is copied
-    once, by the join."""
+def _column_text(mids: list[str], end: str, lead: str, sep: str):
+    """A function that makes the text of an ``(s, column)`` item in one
+    join: row t's text is a prefix (``lead`` formatted with s for row 1,
+    ``sep`` and that after it), ``mids[t-1]`` and the value's ``str``;
+    ``end`` closes the column.  The piece list is made once, with
+    ``mids`` and ``end`` in it, and each column assigns only its prefixes
+    and values, so each value's text is copied once, by the join.  A
+    short column's last entry stands for every row above it (see
+    ``dp.columns``): its text is made once and repeated."""
     pieces = [""] * (3 * len(mids) + 1)
     pieces[1::3], pieces[-1] = mids, end
     blanks = pieces[2::3]
 
-    def text(first: str, between: str, col) -> str:
-        pieces[:-1:3] = [between] * len(mids)
+    def text(item) -> str:
+        s, col = item
+        first = lead.format(s)
+        pieces[:-1:3] = [sep + first] * len(mids)
         pieces[0] = first
-        pieces[2::3] = _texts(col, len(mids))
+        texts = [*map(str, col)]
+        pieces[2::3] = texts + texts[-1:] * (len(mids) - len(texts))
         joined = "".join(pieces)
         pieces[2::3] = blanks  # free the texts before the next column makes its own
         return joined
@@ -201,27 +194,20 @@ def _column_text(mids: list[str], end: str):
 
 
 def render_table_csv(out: TextIO, dims: TableDims, columns: Iterable) -> None:
-    """One write and one join per column; the header goes out with
-    column 1."""
-    text = _column_text([f"{t}," for t in range(1, dims.rows + 1)], "\n")
-    header = "s,t,value\n"
-    for s, col in enumerate(columns, start=1):
-        out.write(text(f"{header}{s},", f"\n{s},", col))
-        header = ""
+    """One join per column; the header goes out with column 1."""
+    text = _column_text([f"{t}," for t in range(1, dims.rows + 1)], "\n", "{},", "\n")
+    _write_list(out, "csv", enumerate(columns, start=1), text,
+                csv_header="s,t,value\n")
 
 
 def render_table_json(out: TextIO, dims: TableDims, columns: Iterable,
                       kind: str) -> None:
+    """One join per column, of its entries, each [s, t, "value"]."""
     head = (f'  "dims": {{\n    "rows": {dims.rows},\n    "cols": {dims.cols}\n'
             f'  }},\n  "kind": "{kind}",\n')  # a TABLE_KINDS key: no escaping
     text = _column_text([f'{t},\n      "' for t in range(1, dims.rows + 1)],
-                        '"\n    ]')
-
-    def chunk(s, col):  # the column's entries, each [s, t, "value"]
-        pre = f"    [\n      {s},\n      "
-        return text(pre, '"\n    ],\n' + pre, col)
-
-    _write_json(out, head, "entries", map(chunk, count(1), columns))
+                        '"\n    ]', "    [\n      {},\n      ", '"\n    ],\n')
+    _write_list(out, "json", enumerate(columns, start=1), text, head, "entries")
 
 
 def render_table_markdown(out: TextIO, dims: TableDims, columns: Iterable,
@@ -251,26 +237,28 @@ def render_table_markdown(out: TextIO, dims: TableDims, columns: Iterable,
         bufs.append(io.BytesIO(text.encode("ascii")))
         del text  # freed before the next column's text is made, not after
     readline = io.BytesIO.readline
-    out.write("| t\\s | " + " | ".join(map(str, range(1, dims.cols + 1))) + " |\n")
-    out.write("|" + " --- |" * (dims.cols + 1) + "\n")
-    for t in range(dims.rows, 0, -1):
-        k = min(t - 1, dims.cols) if cut else 0  # the columns short of row t
-        tail = b"".join(map(readline, bufs[k:])).replace(b"\n", b" | ")
-        row = f"| {t} | {''.join(stand[:k])}{tail.decode('ascii')}"
-        out.write(row[:-1] + "\n")  # "... | " ends as "... |\n"
-    if footer:
-        out.write("| H(s,s) | " + " | ".join(map(str, sums)) + " |\n")
+
+    def lines():  # the header, each row top row first, then the footer
+        yield ("| t\\s | " + " | ".join(map(str, range(1, dims.cols + 1))) + " |\n|"
+               + " --- |" * (dims.cols + 1) + "\n")
+        for t in range(dims.rows, 0, -1):
+            k = min(t - 1, dims.cols) if cut else 0  # the columns short of row t
+            tail = b"".join(map(readline, bufs[k:])).replace(b"\n", b" | ")
+            row = f"| {t} | {''.join(stand[:k])}{tail.decode('ascii')}"
+            yield row[:-1] + "\n"  # "... | " ends as "... |\n"
+        if footer:
+            yield "| H(s,s) | " + " | ".join(map(str, sums)) + " |\n"
+
+    _write_list(out, "markdown", lines(), str)
 
 
 def _cmd_table(args) -> int:
     if args.hss_footer and (args.kind != "d1" or args.format != "markdown"):
         raise ValueError("--hss-footer requires --kind d1 and markdown format")
-    family, *start = TABLE_KINDS[args.kind]
     dims = TableDims(args.rows, args.cols)
     _check_work(dims, args.kind if args.format == "markdown" else "")
-    with _exact_decimals() as one:
-        # Every check, and column 1, comes before the first write.
-        columns = dp.columns(family, dims.rows, dims.cols, *start, one=one)
+    # Every check, and column 1, comes before the first write.
+    with _exact_columns(args.kind, dims.rows, dims.cols) as columns:
         if args.format == "csv":
             render_table_csv(sys.stdout, dims, columns)
         elif args.format == "json":
@@ -295,18 +283,15 @@ def _cmd_count(args) -> int:
 def _cmd_sequence(args) -> int:
     _check_work(TableDims(args.rows, args.max_n))
     kind, reduce = SEQUENCE_TARGETS[args.target]
-    family, *start = TABLE_KINDS[kind]
     head = f'  "target": "{args.target}",\n  "rows": {args.rows},\n'
-    line = "{0[0]},{0[1]}\n" if args.format == "csv" else "{0[1]}\n"
+    item = {"json": '    [\n      {0[0]},\n      "{0[1]}"\n    ]',
+            "csv": "{0[0]},{0[1]}\n"}.get(args.format, "{0[1]}\n").format
     # The values are the table's columns reduced as they are marched and
     # written, so the writes stay inside the exact context.
-    with _exact_decimals() as one:
-        values = map(reduce, dp.columns(family, args.rows, args.max_n, *start,
-                                        one=one))
-        _write_list(args.format, enumerate(map(str, values), start=1),
-                    head, "values",
-                    '    [\n      {0[0]},\n      "{0[1]}"\n    ]'.format,
-                    "n,value\n", line.format)
+    with _exact_columns(kind, args.rows, args.max_n) as columns:
+        values = enumerate(map(str, map(reduce, columns)), start=1)
+        _write_list(sys.stdout, args.format, values, item, head, "values",
+                    "n,value\n")
     return 0
 
 
@@ -423,14 +408,15 @@ def _cmd_words(args) -> int:
             trace = trace[::2]
         return f"{w.letters or 'ε'}{sep}{trace}\n"
 
-    _write_list(
-        args.format, oracle.enumerate_words(length, filt, cap=cap), "", "words",
+    def json_item(w) -> str:
         # Letters are validated to "urd", so they need no JSON escaping.
-        lambda w: f'    {{\n      "letters": "{w.letters}",\n'
-        f'      "start_row": {w.start_row},\n      "trace": [\n        '
-        + w.trace.replace(",", ",\n        ") + "\n      ]\n    }",
-        "word,trace\n", line,
-    )
+        return (f'    {{\n      "letters": "{w.letters}",\n'
+                f'      "start_row": {w.start_row},\n      "trace": [\n        '
+                + w.trace.replace(",", ",\n        ") + "\n      ]\n    }")
+
+    _write_list(sys.stdout, args.format, oracle.enumerate_words(length, filt, cap=cap),
+                json_item if args.format == "json" else line, "", "words",
+                "word,trace\n")
     return 0
 
 

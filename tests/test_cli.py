@@ -733,8 +733,9 @@ def _streamed(render, matrix, *args):
     return out.getvalue()
 
 
+# (1, 300) and (3, 200) have many short columns, which share writes.
 @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 6), (6, 1), (8, 8), (3, 9), (9, 3),
-                                       (2, 2), (2, 7), (7, 2)])
+                                       (2, 2), (2, 7), (7, 2), (1, 300), (3, 200)])
 def test_streamed_tables_match_joined_renderers(rows, cols):
     dims = TableDims(rows, cols)
     tables = {"d1": di_table(dims, 1), "d": d_table(dims), "h": h_table(dims)}
@@ -893,14 +894,15 @@ def test_streamed_sequence_matches_joined_output(capsys, fmt, target, rows, max_
 
 
 class _Writes(io.StringIO):
-    """A stdout that keeps the length of every write it receives."""
+    """A stdout that keeps every write it receives, and its length."""
 
     def __init__(self):
         super().__init__()
-        self.sizes = []
+        self.sizes, self.texts = [], []
 
     def write(self, text):
         self.sizes.append(len(text))
+        self.texts.append(text)
         return super().write(text)
 
     def writelines(self, lines):
@@ -931,6 +933,37 @@ def test_list_writes_are_sized_by_bytes(monkeypatch, argv, fmt):
         with int_digit_limit(0):
             want = _joined_sequence(target, rows, build(rows, max_n), fmt)
     assert out.getvalue() == want
+
+
+# The columns or rows a write of a table holds: csv and json count the
+# row-1 entries, each of which starts a column; markdown counts lines.
+TABLE_ITEMS = {
+    "csv": lambda text: sum(line.split(",")[1:2] == ["1"]
+                            for line in text.splitlines()),
+    "json": lambda text: text.count('\n      1,\n      "'),
+    "markdown": lambda text: text.count("\n"),
+}
+
+
+@pytest.mark.parametrize("kind, rows, cols, fmt", [
+    ("d1", 3, 3000, "csv"), ("d1", 3, 3000, "json"), ("h", 40, 40, "markdown"),
+])
+def test_table_writes_are_sized_by_bytes(monkeypatch, kind, rows, cols, fmt):
+    # Tables go through the list writer too: a write holds about
+    # cli.WRITE_BYTES of columns or rows, so 3,000 columns of up to 2.7 KB
+    # go out in under 300 writes, not in one write each.  Only a single
+    # column or row may make a write longer than 2 * cli.WRITE_BYTES.
+    out = _Writes()
+    monkeypatch.setattr(sys, "stdout", out)
+    code = cli.main(["table", "--kind", kind, "-m", str(rows), "-n", str(cols),
+                     "--format", fmt])
+    monkeypatch.undo()
+    assert code == 0
+    long = [text for text in out.texts if len(text) > 2 * cli.WRITE_BYTES]
+    assert [TABLE_ITEMS[fmt](text) for text in long] == [1] * len(long)
+    if cols == 3000:
+        assert len(out.texts) < 300, len(out.texts)
+    assert out.getvalue() == _table_text(kind, rows, cols, fmt)
 
 
 @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
