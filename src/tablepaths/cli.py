@@ -220,16 +220,16 @@ def render_table_markdown(out: TextIO, dims: TableDims, columns: Iterable,
     that total, or the blank, is the column's stand-in text, made once.
     A column so holds min(s, rows) texts (``d``'s are full), the columns
     short of row t are the first t - 1, and each row joins one line of
-    every other buffer in C.  With ``footer``, column s's H(s, min(s,
-    rows)) entry, the sum of its rows up to s as in ``dp.hss_values``, is
-    summed in the same pass, so no column is kept for it."""
+    every other buffer in C.  With ``footer``, each column's total, its
+    H(s, s) entry as in ``dp.hss_values``, is summed in the same pass, so
+    no column is kept for it."""
     cut = kind != "d"
     bufs, stand, sums = [], [], []
     for s, col in enumerate(columns, start=1):
         size = min(s, dims.rows) if cut else dims.rows
         stand.append(str(col[size - 1]) + " | " if kind == "h" else " | ")
         if footer:
-            sums.append(sum(col[:s]))
+            sums.append(sum(col))
         # The bytes reuse the block of the join, freed by the "+" copy;
         # a freed block per column, too small for the next one, took
         # h 500 x 500 from 34.5 to 53 MB of RSS.

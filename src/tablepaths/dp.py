@@ -51,8 +51,6 @@ def _advance3(col: list[int]) -> list[int]:
 
 def _advance_ud(col: list[int]) -> list[int]:
     """One column step with the two-letter stencil (no flat step)."""
-    if len(col) < 2:
-        return [0]
     return [col[1], *map(add, col, col[2:]), col[-2]]
 
 
@@ -190,15 +188,11 @@ cached = lru_cache(maxsize=128)(build)
 
 
 def hss_values(columns: Iterable) -> list:
-    """Diagonal footer H(s, min(s, rows)) for s = 1..cols, read from the
-    columns of the start-row-1 table, full or short (column s then holds
-    its rows up to s, and the zero above).
-
-    For s <= rows this is the true diagonal; beyond the top row the
-    diagonal is capped at the table height, matching the tabulated
-    footer convention.
-    """
-    return [sum(col[:s]) for s, col in enumerate(columns, start=1)]
+    """Footer H(s, s) for s = 1..cols: the total of column s of the
+    start-row-1 table, full or short (a short column ends in the zero that
+    stands for every row above it).  D1(s, t) = 0 for t > s, so the total
+    is H(s, s), and past the top row it is H(s, rows), all the paths."""
+    return list(map(sum, columns))
 
 
 def _cycle_walks(n: int, steps: int, ends: Iterable[int]) -> list[int]:

@@ -38,7 +38,7 @@ _MEMO_SIZE = 4096
 
 def binomial(n: int, k: int) -> int:
     """Exact binomial coefficient, 0 outside the Pascal triangle."""
-    if n < 0 or k < 0 or k > n:
+    if n < 0 or k < 0:
         return 0
     return math.comb(n, k)
 
@@ -72,8 +72,6 @@ def d1_via_a(s: int, t: int) -> int:
     """
     if s < 1 or t < 1:
         raise ValueError("s and t must be positive")
-    if t > s:
-        return 0
     return sum(
         binomial(s - 1, s - t - 2 * i) * a_closed(t + 2 * i, t)
         for i in range((s - t) // 2 + 1)
@@ -88,8 +86,6 @@ def d1_closed(s: int, t: int) -> int:
     """
     if s < 1 or t < 1:
         raise ValueError("s and t must be positive")
-    if t > s:
-        return 0
     total = 0
     for i in range((s - t) // 2 + 1):
         num = t * binomial(s - 1, s - t - 2 * i) * binomial(t + 2 * i - 1, i)
@@ -99,11 +95,10 @@ def d1_closed(s: int, t: int) -> int:
 
 def _h_square_value(n: int, m: int) -> int:
     # Unguarded evaluator: the verify registry's H-SQUARE row calls it
-    # when calibration probes past the declared window m <= n <= 2m.
+    # when calibration probes past the declared window m <= n <= 2m.  For
+    # n <= m the sum is empty; D1 is read at width n so n = 1 has a table.
     square = dp.cached("d_table", n, n).get(n, n)
-    if n <= m:
-        return square
-    d1 = dp.cached("di_table", m, n - 1, 1)
+    d1 = dp.cached("di_table", m, n, 1)
     return square - sum(
         3 ** (n - i - 1) * d1.get(i, m) for i in range(m, n)
     )
@@ -154,13 +149,14 @@ def _d_boundary(
 def _d_boundary_value(
     m: int, s: int, t: int, bottom_start: int, top_start: int
 ) -> int:
-    # Free of the width: the table's columns only bound the cell check.
+    # Free of the width: the table's columns only bound the cell check,
+    # which also puts both starts at 1 or above.
     total = 3 ** (s - 1)
     if s > 1:
         d1 = dp.cached("di_table", m, s - 1, 1)
-        for i in range(max(bottom_start, 1), s):
+        for i in range(bottom_start, s):
             total -= 3 ** (s - i - 1) * d1.get(i, t)
-        for i in range(max(top_start, 1), s):
+        for i in range(top_start, s):
             total -= 3 ** (s - i - 1) * d1.get(i, m + 1 - t)
     return total
 
@@ -211,8 +207,6 @@ def _s_free(x: int, y: int, pinned: bool) -> int:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _s_free_sum(x: int, y: int, pinned: bool) -> int:
-    if x > y:
-        return 0
     return sum(
         binomial(y, x + (1 if pinned else i)) * binomial(y - x - i, i)
         for i in range((y - x) // 2 + 1)

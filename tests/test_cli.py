@@ -154,6 +154,18 @@ def test_table_markdown_footer(capsys):
     assert rows["H(s,s)"] == [
         "1", "2", "5", "13", "35", "95", "259", "707", "1931", "5275",
     ]
+    # D1(s, t) = 0 for t > s, so H(s, s) is column s's total, which the
+    # h table's top row holds, whether the rows run out before the
+    # columns, with them, or after.
+    for rows, cols in [(3, 7), (6, 6), (7, 3)]:
+        code, out, _ = run_cli(capsys, "table", "--kind", "d1", "-m", str(rows),
+                               "-n", str(cols), "--hss-footer")
+        dims = TableDims(rows, cols)
+        footer = [int(v) for v in _markdown_rows(out)["H(s,s)"]]
+        h, d1 = h_table(dims), di_table(dims, 1)
+        assert code == 0
+        assert footer == [h.get(s, rows) for s in range(1, cols + 1)]
+        assert footer == [sum(d1.column(s)) for s in range(1, cols + 1)]
 
 
 def test_footer_requires_d1_markdown(capsys):
@@ -405,7 +417,9 @@ def test_words_deep_word_prints_without_recursion_error(capsys):
      "row 1, the default --start, lies outside --floor/--ceiling"),
     (("--length", "2", "--ceiling", "0", "--format", "json"),
      "row 1, the default --start, lies outside --floor/--ceiling"),
-], ids=["length-cols", "rows-floor", "floor-above-row-1", "ceiling-below-row-1"])
+    (("--start", "1"), "either --length or --cols is required"),
+], ids=["length-cols", "rows-floor", "floor-above-row-1", "ceiling-below-row-1",
+        "no-length-or-cols"])
 def test_words_conflicting_options_exit_one(capsys, argv, message):
     code, out, err = run_cli(capsys, "words", *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")

@@ -127,6 +127,8 @@ def test_count_matrix_shape_and_access():
         m.get(4, 1)
     with pytest.raises(ValueError):
         m.get(1, 3)
+    with pytest.raises(ValueError, match="^column 0 outside table$"):
+        m.column(0)
 
 
 def test_count_matrix_rejects_bad_data():

@@ -4,7 +4,7 @@ import pytest
 
 from tablepaths import dp, formulas
 from tablepaths.core import Cell, TableDims
-from tablepaths.dp import bounded_pair_count, di_table, imn
+from tablepaths.dp import bounded_pair_count, d_table, di_table, imn
 from tablepaths.formulas import (
     a_closed,
     binomial,
@@ -96,6 +96,7 @@ def test_d1_via_a_edges():
         assert d1_via_a(s, s) == 1
     assert d1_via_a(4, 2) == 5
     assert d1_via_a(3, 5) == 0  # unreachable, empty sum
+    assert d1_closed(3, 5) == 0
 
 
 def test_d1_closed_examples():
@@ -133,6 +134,14 @@ def test_h_via_square_edges():
         from tablepaths.dp import h_table
 
         assert h_via_square(m, m) == h_table(TableDims(m, m)).get(m, m)
+    # Calibration probes n < m too: with no correction term each point
+    # is D(n, n).
+    for m in (1, 3, 5):
+        for n in range(1, m + 1):
+            square = d_table(TableDims(n, n)).get(n, n)
+            assert formulas._h_square_value(n, m) == square, (n, m)
+            if n == m:
+                assert h_via_square(n, m) == square
 
 
 def test_h_via_square_domain_errors():
@@ -140,6 +149,25 @@ def test_h_via_square_domain_errors():
         h_via_square(4, 5)  # n < m
     with pytest.raises(ValueError):
         h_via_square(11, 5)  # n > 2m
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: a_closed(0, 1), "s and t must be positive"),
+    (lambda: a_closed(3, 5), r"a_closed requires t <= s, got s=3, t=5"),
+    (lambda: d1_via_a(0, 2), "s and t must be positive"),
+    (lambda: d1_closed(0, 2), "s and t must be positive"),
+    (lambda: h_via_square(0, 0), "m must be positive"),
+    (lambda: d1_split(0, 5, 1), "m and n must be positive"),
+    (lambda: d1_split(9, 0, 1), "m and n must be positive"),
+    (lambda: d1_split(9, 5, 10), r"split column 10 outside \[1, 9\]"),
+    (lambda: motzkin_number(-1), "k must be nonnegative"),
+    (lambda: catalan_number(-1), "k must be nonnegative"),
+], ids=["a-closed-zero", "a-closed-t-above-s", "d1-via-a-zero", "d1-closed-zero",
+        "h-square-m-zero", "d1-split-n-zero", "d1-split-m-zero",
+        "d1-split-column", "motzkin-negative", "catalan-negative"])
+def test_domain_guards_refuse_with_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_d1_split_worked_example():

@@ -75,6 +75,13 @@ def test_enumerate_requires_anchor_row():
         list(enumerate_words(2, WordFilter()))
 
 
+def test_negative_lengths_are_refused():
+    with pytest.raises(ValueError, match="^length must be nonnegative$"):
+        list(enumerate_words(-1, WordFilter(start_row=1)))
+    with pytest.raises(ValueError, match="^y must be nonnegative$"):
+        brute_free(0, -1)
+
+
 def test_enumerate_examples():
     filt = WordFilter.in_table(TableDims(2, 3), start_row=1, end_row=1)
     words = [w.letters for w in enumerate_words(2, filt)]
