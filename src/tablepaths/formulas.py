@@ -2,17 +2,19 @@
 start-row-1 tables.
 
 Each function evaluates one identity directly; the verifier module owns
-the comparisons.  The forms behind D1-SPLIT, INNER-PRODUCT, S2 and
-H-SQUARE read ``dp.di_table``/``dp.d_table`` entries through
-``dp.cached``, the table memo their engine sides read too, so those
-identities check relations among engine-table entries; the brute-force
-oracle is the independent side.  Two private value memos answer
-repeated points: ``_d_boundary_value`` keyed on (m, s, t, bottom start,
-top start), which leaves out the width since D(s, t) does not depend on
-it, and ``_s_free_sum`` keyed on (|x|, y, pinned), which the S-FREE
-pair and S2 share.  Both are ``lru_cache``s bounded at ``_MEMO_SIZE``
-entries; every public call still runs its own argument checks before
-reading them.
+the comparisons.  Three places read the engine, each through
+``dp.cached``, the table memo the verifier's engine sides read too:
+``_leaks``, the one wall-leak sum behind D-BOUNDARY (both variants),
+H-SQUARE and S2, reads ``dp.di_table`` entries, and ``d1_split`` and
+``i_inner`` are inner products of two ``dp.di_table`` and two
+``dp.d_table`` columns.  So those identities check relations among
+engine-table entries; the brute-force oracle is the independent side.
+Two private value memos answer repeated points: ``_d_boundary_value``
+keyed on (m, s, t, bottom start, top start), which leaves out the width
+since D(s, t) does not depend on it, and ``_s_free_sum`` keyed on (|x|,
+y, pinned), which the S-FREE pair and S2 share.  Both are
+``lru_cache``s bounded at ``_MEMO_SIZE`` entries; every public call
+still runs its own argument checks before reading them.
 
 Rational forms divide exactly; a nonzero remainder would mean a
 transcription bug, so it raises instead of rounding.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import mul
 
 from . import dp
 from .core import Cell, TableDims, check_pair
@@ -93,15 +96,28 @@ def d1_closed(s: int, t: int) -> int:
     return total
 
 
+def _leaks(m: int, span: int, free, *walls: tuple[int, int, int]) -> int:
+    # The wall-leak sum of the paper's argument, held once for every form
+    # that subtracts one: the paths over ``span`` steps that leave the
+    # m-row table, counted at the column i where they cross a wall.  Over
+    # each wall (row, start, x) it sums D1(i, row) * free(x, span - i) for
+    # i = start..span: D^1 counts the steps up to the crossing inside the
+    # table and ``free`` the walks of the steps that remain (``pow`` with
+    # x = 3 gives all 3^j words of j steps).  With no step to leave by the
+    # sum is empty and no table is read.
+    if span < 1:
+        return 0
+    d1, total = dp.cached("di_table", m, span, 1), 0
+    for row, start, x in walls:
+        for i in range(start, span + 1):
+            total += d1.get(i, row) * free(x, span - i)
+    return total
+
+
 def _h_square_value(n: int, m: int) -> int:
     # Unguarded evaluator: the verify registry's H-SQUARE row calls it
-    # when calibration probes past the declared window m <= n <= 2m.  For
-    # n <= m the sum is empty; D1 is read at width n so n = 1 has a table.
-    square = dp.cached("d_table", n, n).get(n, n)
-    d1 = dp.cached("di_table", m, n, 1)
-    return square - sum(
-        3 ** (n - i - 1) * d1.get(i, m) for i in range(m, n)
-    )
+    # when calibration probes past the declared window m <= n <= 2m.
+    return dp.cached("d_table", n, n).get(n, n) - _leaks(m, n - 1, pow, (m, m, 3))
 
 
 def h_via_square(n: int, m: int) -> int:
@@ -131,10 +147,7 @@ def d1_split(n: int, m: int, s: int) -> int:
     if not 1 <= s <= n:
         raise ValueError(f"split column {s} outside [1, {n}]")
     table = dp.cached("di_table", m, n, 1)
-    return sum(
-        table.get(s, i) * table.get(n - s + 1, m - i + 1)
-        for i in range(1, m + 1)
-    )
+    return sum(map(mul, table.column(s), reversed(table.column(n - s + 1))))
 
 
 def _d_boundary(
@@ -151,14 +164,8 @@ def _d_boundary_value(
 ) -> int:
     # Free of the width: the table's columns only bound the cell check,
     # which also puts both starts at 1 or above.
-    total = 3 ** (s - 1)
-    if s > 1:
-        d1 = dp.cached("di_table", m, s - 1, 1)
-        for i in range(bottom_start, s):
-            total -= 3 ** (s - i - 1) * d1.get(i, t)
-        for i in range(top_start, s):
-            total -= 3 ** (s - i - 1) * d1.get(i, m + 1 - t)
-    return total
+    walls = (t, bottom_start, 3), (m + 1 - t, top_start, 3)
+    return 3 ** (s - 1) - _leaks(m, s - 1, pow, *walls)
 
 
 def d_boundary(dims: TableDims, s: int, t: int) -> int:
@@ -192,11 +199,8 @@ def i_inner(dims: TableDims, a: int) -> int:
     of the start-anywhere table."""
     if not 1 <= a <= dims.cols:
         raise ValueError(f"column {a} outside [1, {dims.cols}]")
-    b = dims.cols + 1 - a
     table = dp.cached("d_table", dims.rows, dims.cols)
-    return sum(
-        table.get(a, i) * table.get(b, i) for i in range(1, dims.rows + 1)
-    )
+    return sum(map(mul, table.column(a), table.column(dims.cols + 1 - a)))
 
 
 def _s_free(x: int, y: int, pinned: bool) -> int:
@@ -237,15 +241,9 @@ def _s2_value(dims: TableDims, start: Cell, end: Cell) -> int:
     # Unguarded evaluator: the verify registry's S2 row calls it when
     # calibration probes past the declared window.
     m, span = dims.rows, end.col - start.col
-    total = s_free_closed(end.row - start.row, span)
-    if span:
-        d1 = dp.cached("di_table", m, span, 1)
-        for k in range(1, span + 1):
-            total -= d1.get(k, start.row) * s_free_closed(end.row, span - k)
-            total -= d1.get(k, m + 1 - start.row) * s_free_closed(
-                m + 1 - end.row, span - k
-            )
-    return total
+    walls = (start.row, 1, end.row), (m + 1 - start.row, 1, m + 1 - end.row)
+    unbounded = s_free_closed(end.row - start.row, span)
+    return unbounded - _leaks(m, span, s_free_closed, *walls)
 
 
 def s2_closed(dims: TableDims, start: Cell, end: Cell) -> int:

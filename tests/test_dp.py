@@ -487,13 +487,13 @@ def test_5x10_footer_recomputed_values_confirmed_by_enumeration():
         assert h.get(s, 5) == want
 
 
-def test_hss_values_read_the_capped_diagonal_of_h():
+def test_hss_values_are_the_d1_column_totals():
     for rows, cols in [(1, 1), (1, 6), (6, 1), (3, 9), (9, 3), (5, 10)]:
         dims = TableDims(rows, cols)
-        h = h_table(dims)
-        assert hss_values(table_columns(di_table(dims, 1))) == [
-            h.get(s, min(s, rows)) for s in range(1, cols + 1)
-        ]
+        columns, h = table_columns(di_table(dims, 1)), h_table(dims)
+        footer = hss_values(columns)
+        assert footer == [sum(col) for col in columns]
+        assert footer == [h.get(s, min(s, rows)) for s in range(1, cols + 1)]
 
 
 def test_cached_tables_equal_fresh_builds(monkeypatch):

@@ -5,7 +5,8 @@ counts, the engine's pair, whole-table and free counts must equal the
 brute counts, every CLI table kind's csv and json output must list
 the cells of the table ``dp.build`` returns, each once, every CLI table
 must print the text of that table, and every CLI sequence must print
-the int march's values.  Settings are
+the int march's values.  A table's columns do not depend on its width:
+a narrower table is a column prefix of a wider one.  Settings are
 fixed (derandomized, bounded examples) so runs repeat.
 """
 
@@ -85,6 +86,29 @@ def test_two_letter_table_counts_ud_words_above_the_floor(n):
     for s, t in cells(TableDims(n, n)):
         filt = WordFilter(alphabet="ud", start_row=1, floor=1, end_row=t)
         assert table.get(s, t) == oracle_count(s - 1, filt), (s, t)
+
+
+# Column c of a table does not depend on its width: the per-width table
+# memo and a width-free column store both rest on this.
+@FIXED
+@given(st.integers(1, 7), st.integers(1, 9), st.integers(1, 3))
+def test_a_narrower_table_is_a_column_prefix_of_a_wider_one(rows, cols, extra):
+    keys = [("di_table", i) for i in range(1, rows + 1)] + [("d_table",), ("h_table",)]
+    for family, *start in keys:
+        narrow = dp.build(family, rows, cols, *start)
+        wide = dp.build(family, rows, cols + extra, *start)
+        for c in range(1, cols + 1):
+            assert narrow.column(c) == wide.column(c), (family, start, c)
+
+
+@FIXED
+@given(st.integers(1, 9), st.integers(1, 3))
+def test_a_smaller_two_letter_table_is_a_corner_of_a_larger_one(n, extra):
+    # The square rule ties height to width: column c of the n-row table is
+    # the first n entries of column c of the larger one.
+    small, large = dp.build("a_table", n, n), dp.build("a_table", n + extra, n + extra)
+    for c in range(1, n + 1):
+        assert small.column(c) == large.column(c)[:n], c
 
 
 @FIXED

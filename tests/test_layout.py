@@ -1,8 +1,10 @@
 """Stdlib-only lint of the package source: no unused imports, no long
 lines, no module import outside its pinned place in the import graph,
-and no public function, class or method that nothing reads."""
+no import from outside the package and the standard library, and no
+public function, class or method that nothing reads."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,6 +78,32 @@ def _package_imports(tree: ast.Module) -> set[str]:
 def test_import_graph_is_pinned():
     graph = {p.stem: _package_imports(ast.parse(p.read_text())) for p in MODULES}
     assert graph == IMPORT_GRAPH
+
+
+def _outside_imports(tree: ast.Module) -> set[str]:
+    """Top-level modules the module imports from outside the package."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names - {"tablepaths"}
+
+
+def test_runtime_imports_only_the_standard_library():
+    # Pins the empty ``dependencies`` of pyproject.toml.
+    third_party = [
+        f"{path.name}: {name}"
+        for path in MODULES
+        for name in sorted(_outside_imports(ast.parse(path.read_text())))
+        if name not in sys.stdlib_module_names
+    ]
+    assert third_party == []
+    found = _outside_imports(ast.parse(
+        "import numpy.linalg\nfrom . import dp\nfrom tablepaths.core import Cell\n"
+        "from sympy import Matrix\nimport math\n"))
+    assert found - sys.stdlib_module_names == {"numpy", "sympy"}
 
 
 # Public names no source module reads: the engine's and the oracle's
