@@ -73,11 +73,7 @@ class TableDims(_Value):
 
 
 class Cell(_Value):
-    """1-based (column, row) position.
-
-    Rows 0 and rows+1 denote the virtual boundary rows used in leak-out
-    arguments; they are never stored in a table.
-    """
+    """1-based (column, row) position."""
 
     __slots__ = _fields = ("col", "row")
 

@@ -2,10 +2,11 @@
 start-row-1 tables.
 
 Each function evaluates one identity directly; the verifier module owns
-the comparisons.  Three places read the engine, each through
+the comparisons.  Four places read the engine, each through
 ``dp.cached``, the table memo the verifier's engine sides read too:
 ``_leaks``, the one wall-leak sum behind D-BOUNDARY (both variants),
-H-SQUARE and S2, reads ``dp.di_table`` entries, and ``d1_split`` and
+H-SQUARE and S2, reads ``dp.di_table`` entries; ``_h_square_value``
+reads H-SQUARE's D(n, n) from ``dp.d_table``; and ``d1_split`` and
 ``i_inner`` are inner products of two ``dp.di_table`` and two
 ``dp.d_table`` columns.  So those identities check relations among
 engine-table entries; the brute-force oracle is the independent side.

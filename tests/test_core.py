@@ -143,6 +143,14 @@ def test_count_matrix_equality():
     dims = TableDims(1, 2)
     assert CountMatrix(dims, [[1], [2]]) == CountMatrix(dims, [[1], [2]])
     assert CountMatrix(dims, [[1], [2]]) != CountMatrix(dims, [[1], [3]])
+    # Any other type compares unequal, not by its contents.
+    assert (CountMatrix(dims, [[1], [2]]) == object()) is False
+    assert CountMatrix(TableDims(1, 1), [[1]]) != (1,)
+
+
+def test_count_matrix_repr_names_its_shape():
+    table = CountMatrix(TableDims(3, 2), [[1, 2, 3], [4, 5, 6]])
+    assert repr(table) == "CountMatrix(3x2)"
 
 
 def test_count_matrix_checks_every_column():

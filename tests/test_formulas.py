@@ -305,6 +305,13 @@ def test_motzkin_recurrence_values():
     ]
 
 
+def test_exact_division_refuses_a_remainder():
+    # A remainder would mean a transcription bug, so it is never rounded.
+    assert formulas._exact_div(8, 2) == 4
+    with pytest.raises(ArithmeticError, match="got 7/2$"):
+        formulas._exact_div(7, 2)
+
+
 def test_catalan_values():
     assert [catalan_number(k) for k in range(8)] == [
         1, 1, 2, 5, 14, 42, 132, 429,

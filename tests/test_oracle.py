@@ -8,7 +8,6 @@ from tablepaths.core import Cell, TableDims, row_trace
 from tablepaths.dp import bounded_pair_count, di_table, free_count, imn
 from tablepaths.formulas import s_free_closed
 from tablepaths.oracle import (
-    CapExceededError,
     WordFilter,
     brute_free,
     brute_imn,
@@ -120,20 +119,22 @@ def test_figure1_census():
 
 
 def test_cap_errors_name_the_cap():
-    with pytest.raises(CapExceededError, match="14"):
+    with pytest.raises(ValueError, match="word length 15 exceeds enumeration cap 14"):
         next(enumerate_words(15, WordFilter(start_row=0)))
-    with pytest.raises(CapExceededError, match="cap 3"):
+    with pytest.raises(ValueError, match="word length 4 exceeds enumeration cap 3"):
         next(enumerate_words(4, WordFilter(start_row=0), cap=3))
-    with pytest.raises(CapExceededError):
+    with pytest.raises(ValueError, match="table width 15 exceeds enumeration cap 14"):
         brute_imn(TableDims(2, 15))
-    with pytest.raises(CapExceededError):
+    with pytest.raises(ValueError, match="table height 15 exceeds enumeration cap 14"):
+        brute_imn(TableDims(15, 2))
+    with pytest.raises(ValueError, match="word length 15 exceeds enumeration cap 14"):
         brute_free(0, 15)
-    with pytest.raises(CapExceededError):
+    with pytest.raises(ValueError, match="column span 16 exceeds enumeration cap 14"):
         brute_pair_count(
             TableDims(2, 20), Cell(1, 1), Cell(17, 1)
         )
     # A raised cap admits a request the lower cap refused.
-    with pytest.raises(CapExceededError, match="cap 3"):
+    with pytest.raises(ValueError, match="word length 4 exceeds enumeration cap 3"):
         brute_free(0, 4, cap=3)
     assert brute_free(0, 4, cap=4) == free_count(0, 4)
 
@@ -142,7 +143,7 @@ def test_deep_counts_need_no_recursion():
     # Both depths are past Python's default recursion limit.
     assert brute_free(1500, 1500, cap=2000) == 1
     dims, start, end = TableDims(1, 1201), Cell(1, 1), Cell(1201, 1)
-    with pytest.raises(CapExceededError, match="column span 1200"):
+    with pytest.raises(ValueError, match="column span 1200 exceeds enumeration cap 14"):
         brute_pair_count(dims, start, end)
     assert brute_pair_count(dims, start, end, cap=1200) == 1
 
