@@ -2,14 +2,14 @@
 start-row-1 tables.
 
 Each function evaluates one identity directly; the verifier module owns
-the comparisons.  Four places read the engine, each through
+the comparisons.  Three places read the engine, each through
 ``dp.cached``, the table memo the verifier's engine sides read too:
 ``_leaks``, the one wall-leak sum behind D-BOUNDARY (both variants),
-H-SQUARE and S2, reads ``dp.di_table`` entries; ``_h_square_value``
-reads H-SQUARE's D(n, n) from ``dp.d_table``; and ``d1_split`` and
+H-SQUARE and S2, reads ``dp.di_table`` entries, and ``d1_split`` and
 ``i_inner`` are inner products of two ``dp.di_table`` and two
-``dp.d_table`` columns.  So those identities check relations among
-engine-table entries; the brute-force oracle is the independent side.
+``dp.d_table`` columns.  H-SQUARE's D(n, n) comes from ``d1_closed``.
+So those identities check relations among engine-table entries; the
+brute-force oracle is the independent side.
 Two private value memos answer repeated points: ``_d_boundary_value``
 keyed on (m, s, t, bottom start, top start), which leaves out the width
 since D(s, t) does not depend on it, and ``_s_free_sum`` keyed on (|x|,
@@ -116,9 +116,10 @@ def _leaks(m: int, span: int, free, *walls: tuple[int, int, int]) -> int:
 
 
 def _h_square_value(n: int, m: int) -> int:
-    # Unguarded evaluator: the verify registry's H-SQUARE row calls it
-    # when calibration probes past the declared window m <= n <= 2m.
-    return dp.cached("d_table", n, n).get(n, n) - _leaks(m, n - 1, pow, (m, m, 3))
+    # Unguarded evaluator for calibration past m <= n <= 2m.  D(n, n) =
+    # H(n, n) totals D^1 column n of an n-row table: d1_closed is exact.
+    free = sum(d1_closed(n, t) for t in range(1, n + 1))
+    return free - _leaks(m, n - 1, pow, (m, m, 3))
 
 
 def h_via_square(n: int, m: int) -> int:

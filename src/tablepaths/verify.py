@@ -200,15 +200,13 @@ def _row(identity: str) -> _Identity:
     return _REGISTRY[identity]
 
 
-def _lines(row: _Identity, box: Mapping, probe: bool):
+def _lines(row: _Identity, box: Mapping):
     """(outer point, last-axis range, engine line, formula line) for each
-    nonempty line of the grid in ``box`` (axis -> (lo, hi)), in grid
-    order: a suite run is also cut to the window, a ``probe`` is not and
-    checks the unguarded evaluator instead."""
+    nonempty line of the grid in ``box`` (axis -> (lo, hi)), cut to the
+    row's window, in grid order."""
     upper = {axis: hi for axis, (_, hi) in box.items()}
-    name = row.window[2] if probe and row.window else row.formula
-    fn = getattr(formulas, name) if name else None  # read per walk: patches apply
-    window = dict([row.window[:2]]) if row.window and not probe else {}
+    fn = getattr(formulas, row.formula) if row.formula else None  # patches apply
+    window = dict([row.window[:2]]) if row.window else {}
     # A window lies within its axis's bounds, so it stands in for them.
     cuts = [(a, window.get(a, b), *box.get(a, (-inf, inf))) for a, b in row.axes]
     point: dict[str, int] = {}
@@ -259,7 +257,7 @@ def run_identity(spec: IdentitySpec) -> IdentityReport:
     row, dom = _row(spec.identity), dict(spec.domain)
     box = {axis: (-inf, dom[axis]) for axis in row.domain}
     cases, failures, first = 0, 0, None
-    for prefix, values, lhs, rhs in _lines(row, box, probe=False):
+    for prefix, values, lhs, rhs in _lines(row, box):
         cases += len(values)
         bad = sum(map(ne, lhs, rhs))
         failures += bad
@@ -313,9 +311,10 @@ def calibrate_domain(
     caps, declared = overrides or {}, dict(row.search)
     searched = tuple((a, (lo, min(hi, caps.get(a, hi)))) for a, (lo, hi) in row.search)
     names = [name for name, _ in row.axes]
+    probe = row._replace(formula=row.window[2], window=()) if row.window else row
     fails = [  # every failing point of the declared box, walked once
         dict(zip(names, (*prefix, v)))
-        for prefix, values, lhs, rhs in _lines(row, declared, probe=True)
+        for prefix, values, lhs, rhs in _lines(probe, declared)
         for v, a, b in zip(values, lhs, rhs)
         if a != b
     ]

@@ -184,14 +184,15 @@ def _clear_memos():
 
 
 def test_formula_sides_that_read_the_engine(monkeypatch):
-    # The identities whose formula side reads an engine table; closed
-    # forms that never read one would leave this set empty.
+    # The identities whose formula side reads an engine table, with the
+    # table family each reads; closed forms that never read one would
+    # leave this set empty.
     reads, current = set(), []
     real = dp.cached
 
     def spy(*args):
         if sys._getframe(1).f_globals["__name__"] == "tablepaths.formulas":
-            reads.add(current[-1])
+            reads.add((current[-1], args[0]))
         return real(*args)
 
     spy.cache_clear = real.cache_clear
@@ -201,8 +202,12 @@ def test_formula_sides_that_read_the_engine(monkeypatch):
         current.append(identity)
         run_identity(default_spec(identity))
     _clear_memos()
-    assert reads == {"D1-SPLIT", "D-BOUNDARY", "D-BOUNDARY-PRINTED",
-                     "H-SQUARE", "INNER-PRODUCT", "S2"}
+    # H-SQUARE reads only its D^1 factors: its D(n, n) is a closed form.
+    assert reads == {
+        *((identity, "di_table") for identity in (
+            "D1-SPLIT", "D-BOUNDARY", "D-BOUNDARY-PRINTED", "H-SQUARE", "S2")),
+        ("INNER-PRODUCT", "d_table"),
+    }
 
 
 def test_engine_tables_built_once_per_shape(monkeypatch):
