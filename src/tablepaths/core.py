@@ -68,9 +68,6 @@ class TableDims(_Value):
         _set_rows(self, rows)
         _set_cols(self, cols)
 
-    def contains(self, cell: "Cell") -> bool:
-        return 1 <= cell.col <= self.cols and 1 <= cell.row <= self.rows
-
 
 class Cell(_Value):
     """1-based (column, row) position."""
@@ -87,15 +84,17 @@ _set_rows, _set_cols = TableDims.rows.__set__, TableDims.cols.__set__
 _set_col, _set_row = Cell.col.__set__, Cell.row.__set__
 
 
+def check_cell(dims: TableDims, col: int, row: int) -> None:
+    """Reject the cell (col, row) unless it lies in the table."""
+    if not (1 <= col <= dims.cols and 1 <= row <= dims.rows):
+        raise ValueError(f"cell ({col},{row}) outside {dims.rows}x{dims.cols} table")
+
+
 def check_pair(dims: TableDims, start: Cell, end: Cell) -> None:
     """Reject a cell pair unless both cells lie in the table and the
     start column is not right of the end column."""
-    for cell in (start, end):
-        if not dims.contains(cell):
-            raise ValueError(
-                f"cell ({cell.col},{cell.row}) outside "
-                f"{dims.rows}x{dims.cols} table"
-            )
+    check_cell(dims, start.col, start.row)
+    check_cell(dims, end.col, end.row)
     if start.col > end.col:
         raise ValueError(
             f"start column {start.col} right of end column {end.col}"
@@ -156,10 +155,7 @@ class CountMatrix:
         self._cols = cols
 
     def get(self, col: int, row: int) -> int:
-        if not (1 <= col <= self.dims.cols and 1 <= row <= self.dims.rows):
-            raise ValueError(
-                f"cell ({col},{row}) outside {self.dims.rows}x{self.dims.cols} table"
-            )
+        check_cell(self.dims, col, row)
         return self._cols[col - 1][row - 1]
 
     def column(self, col: int) -> tuple[int, ...]:

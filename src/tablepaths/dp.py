@@ -183,7 +183,8 @@ def build(family: str, rows: int, cols: int, *start: int) -> CountMatrix:
 
 
 # The one memo, keyed on ``build``'s arguments: 128 tables hold an identity
-# grid's working set, about one width per column at each height.
+# grid's working set.  The engine sides read about one width per column at
+# each height; the closed forms read only power-of-two widths.
 cached = lru_cache(maxsize=128)(build)
 
 

@@ -5,17 +5,20 @@ Each function evaluates one identity directly; the verifier module owns
 the comparisons.  Three places read the engine, each through
 ``dp.cached``, the table memo the verifier's engine sides read too:
 ``_leaks``, the one wall-leak sum behind D-BOUNDARY (both variants),
-H-SQUARE and S2, reads ``dp.di_table`` entries, and ``d1_split`` and
+H-SQUARE and S2, reads ``dp.di_table`` rows, and ``d1_split`` and
 ``i_inner`` are inner products of two ``dp.di_table`` and two
 ``dp.d_table`` columns.  H-SQUARE's D(n, n) comes from ``d1_closed``.
 So those identities check relations among engine-table entries; the
-brute-force oracle is the independent side.
-Two private value memos answer repeated points: ``_d_boundary_value``
-keyed on (m, s, t, bottom start, top start), which leaves out the width
-since D(s, t) does not depend on it, and ``_s_free_sum`` keyed on (|x|,
-y, pinned), which the S-FREE pair and S2 share.  Both are
-``lru_cache``s bounded at ``_MEMO_SIZE`` entries; every public call
-still runs its own argument checks before reading them.
+brute-force oracle is the independent side.  Each read is free of the
+width: it takes its height's table at the next power of two, whose
+columns start with those of every narrower table.
+Four private memos, each a bounded ``lru_cache``, answer repeated
+points: ``_d_boundary_value`` keyed on (m, s, t, bottom start, top
+start), which leaves out the width since D(s, t) does not depend on it;
+``_s_free_sum`` keyed on (|x|, y, pinned), which the S-FREE pair and S2
+share; and the two sequences a ``_leaks`` wall multiplies, ``_d1_rows``
+and ``_frees``.  Every public call still runs its own argument checks
+before reading them.
 
 Rational forms divide exactly; a nonzero remainder would mean a
 transcription bug, so it raises instead of rounding.
@@ -32,11 +35,11 @@ from functools import lru_cache
 from operator import mul
 
 from . import dp
-from .core import Cell, TableDims, check_pair
+from .core import Cell, TableDims, check_cell, check_pair
 
-# Bound of each value memo below: the doubled grid's D-BOUNDARY keys
-# (3,744 over both variants) fit, so a verify run computes each value
-# once, and a wider grid cycles through a fixed number of entries.
+# The value memos' bound: the doubled grid's D-BOUNDARY keys (3,744
+# over both variants) fit, so a verify run computes each value once,
+# and a wider grid cycles through a fixed number of entries.
 _MEMO_SIZE = 4096
 
 
@@ -97,6 +100,23 @@ def d1_closed(s: int, t: int) -> int:
     return total
 
 
+def _wide(width: int) -> int:
+    # The power of two at or above ``width``: one table that wide serves
+    # every narrower read, whose columns are a prefix of its own.
+    return 1 << (width - 1).bit_length()
+
+
+@lru_cache(maxsize=128)  # as many as ``dp.cached``, whose entries it shares
+def _d1_rows(m: int, width: int) -> tuple:
+    table = dp.cached("di_table", m, width, 1)
+    return tuple(zip(*map(table.column, range(1, width + 1))))  # rows, bottom first
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _frees(free, x: int, width: int) -> tuple:
+    return tuple(free(x, j) for j in range(width))
+
+
 def _leaks(m: int, span: int, free, *walls: tuple[int, int, int]) -> int:
     # The wall-leak sum of the paper's argument, held once for every form
     # that subtracts one: the paths over ``span`` steps that leave the
@@ -104,15 +124,17 @@ def _leaks(m: int, span: int, free, *walls: tuple[int, int, int]) -> int:
     # each wall (row, start, x) it sums D1(i, row) * free(x, span - i) for
     # i = start..span: D^1 counts the steps up to the crossing inside the
     # table and ``free`` the walks of the steps that remain (``pow`` with
-    # x = 3 gives all 3^j words of j steps).  With no step to leave by the
-    # sum is empty and no table is read.
+    # x = 3 gives all 3^j words of j steps).  Each wall is one product of
+    # two memoized sequences: D^1's row over columns start..span and the
+    # free factors of span - start steps down to 0.  With no step to leave
+    # by the sum is empty and no table is read.
     if span < 1:
         return 0
-    d1, total = dp.cached("di_table", m, span, 1), 0
-    for row, start, x in walls:
-        for i in range(start, span + 1):
-            total += d1.get(i, row) * free(x, span - i)
-    return total
+    width = _wide(span)
+    rows = _d1_rows(m, width)
+    return sum(sum(map(mul, rows[row - 1][start - 1 : span],
+                       _frees(free, x, width)[span - start :: -1]))
+               for row, start, x in walls)
 
 
 def _h_square_value(n: int, m: int) -> int:
@@ -148,15 +170,14 @@ def d1_split(n: int, m: int, s: int) -> int:
         raise ValueError("m and n must be positive")
     if not 1 <= s <= n:
         raise ValueError(f"split column {s} outside [1, {n}]")
-    table = dp.cached("di_table", m, n, 1)
+    table = dp.cached("di_table", m, _wide(n), 1)
     return sum(map(mul, table.column(s), reversed(table.column(n - s + 1))))
 
 
 def _d_boundary(
     dims: TableDims, s: int, t: int, bottom_start: int, top_start: int
 ) -> int:
-    cell = Cell(s, t)
-    check_pair(dims, cell, cell)
+    check_cell(dims, s, t)
     return _d_boundary_value(dims.rows, s, t, bottom_start, top_start)
 
 
@@ -201,7 +222,7 @@ def i_inner(dims: TableDims, a: int) -> int:
     of the start-anywhere table."""
     if not 1 <= a <= dims.cols:
         raise ValueError(f"column {a} outside [1, {dims.cols}]")
-    table = dp.cached("d_table", dims.rows, dims.cols)
+    table = dp.cached("d_table", dims.rows, _wide(dims.cols))
     return sum(map(mul, table.column(a), table.column(dims.cols + 1 - a)))
 
 

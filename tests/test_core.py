@@ -7,6 +7,7 @@ from tablepaths.core import (
     CountMatrix,
     LatticeWord,
     TableDims,
+    check_cell,
     row_trace,
 )
 from tablepaths.dp import bounded_pair_count
@@ -87,9 +88,10 @@ def test_table_dims_validation():
         TableDims(0, 3)
     with pytest.raises(ValueError):
         TableDims(3, 0)
-    assert TableDims(2, 3).contains(Cell(3, 2))
-    assert not TableDims(2, 3).contains(Cell(4, 1))
-    assert not TableDims(2, 3).contains(Cell(1, 0))
+    check_cell(TableDims(2, 3), 3, 2)
+    for col, row in ((4, 1), (1, 0)):
+        with pytest.raises(ValueError, match=rf"^cell \({col},{row}\) outside 2x3 table$"):
+            check_cell(TableDims(2, 3), col, row)
     with pytest.raises(ValueError) as err:
         TableDims(0, -1)
     assert str(err.value) == "table dimensions must be positive, got 0x-1"

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from tablepaths import dp, formulas
-from tablepaths.core import Cell, TableDims
+from tablepaths.core import Cell, TableDims, check_pair
 from tablepaths.dp import bounded_pair_count, d_table, di_table, imn
 from tablepaths.formulas import (
     a_closed,
@@ -198,6 +198,18 @@ def test_d_boundary_examples():
         d_boundary(TableDims(2, 3), 4, 1)
 
 
+@pytest.mark.parametrize("fn", [d_boundary, d_boundary_printed], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("s, t", [(0, 1), (4, 1), (1, 0), (1, 3)],
+                         ids=["s-zero", "s-past-n", "t-zero", "t-past-m"])
+def test_d_boundary_refuses_a_point_outside_the_table(fn, s, t):
+    # One point check, with the message a pair check gives for the cell.
+    dims, message = TableDims(2, 3), rf"^cell \({s},{t}\) outside 2x3 table$"
+    with pytest.raises(ValueError, match=message):
+        check_pair(dims, Cell(s, t), Cell(s, t))
+    with pytest.raises(ValueError, match=message):
+        fn(dims, s, t)
+
+
 def test_d_boundary_printed_overcounts():
     assert d_boundary_printed(TableDims(2, 3), 3, 1) == 8
     assert d_boundary(TableDims(2, 3), 3, 1) == 4
@@ -248,6 +260,29 @@ def test_value_memos_are_bounded():
     assert info.misses == len(first) > info.maxsize == info.currsize
     assert [s_free_closed(x, y) for y in range(91) for x in range(y + 1)] == first
     assert s_free_closed(3, 7) == dp.free_count(3, 7)
+
+
+def _leaks_term_by_term(d1, span, free, *walls):
+    # The wall-leak sum as a double loop over walls and crossing columns,
+    # each term read from ``d1``, a table exactly span columns wide.
+    return sum(d1.get(i, row) * free(x, span - i)
+               for row, start, x in walls for i in range(start, span + 1))
+
+
+def test_leaks_equals_its_term_by_term_sum():
+    # Every wall row and start, past span + 1 so the empty ranges count,
+    # with both free factors the closed forms pass.
+    for m in range(1, 9):
+        for span in range(-1, 21):
+            d1 = dp.build("di_table", m, span, 1) if span >= 1 else None
+            for free, xs in ((pow, (3,)), (s_free_closed, range(m + 1))):
+                walls = [(row, start, x) for row in range(1, m + 1)
+                         for start in range(1, span + 3) for x in xs]
+                for wall in walls:
+                    assert formulas._leaks(m, span, free, wall) == (
+                        _leaks_term_by_term(d1, span, free, wall)), (m, span, wall)
+                assert formulas._leaks(m, span, free, *walls[:3]) == (
+                    _leaks_term_by_term(d1, span, free, *walls[:3]))
 
 
 def test_i_inner_examples():

@@ -216,10 +216,13 @@ def test_engine_tables_built_once_per_shape(monkeypatch):
     _clear_memos()
     run_identity(default_spec("D-BOUNDARY"))
     start_row_1 = [a for name, a in calls if name == "di_table" and a[1] == 1]
-    # One per distinct (m, s - 1) the formula reads, 6 x 11; one build
-    # per grid point would make 1,386.
-    assert len(start_row_1) <= 66
-    assert len(set(start_row_1)) == len(start_row_1)
+    # The formula reads each height's table at the power of two at or
+    # above s - 1: widths 1, 2, 4, 8 and 16 at each of 6 heights.  One
+    # per distinct (m, s - 1) would make 66, one per grid point 1,386.
+    assert len(start_row_1) <= 30
+    assert set(start_row_1) == {
+        (TableDims(m, w), 1) for m in range(1, 7) for w in (1, 2, 4, 8, 16)
+    }
     # Engine side: one start-anywhere table per m at the widest column.
     assert [a for name, a in calls if name == "d_table"] == [
         (TableDims(m, 12),) for m in range(1, 7)
@@ -244,6 +247,19 @@ def test_engine_tables_built_once_per_shape(monkeypatch):
         for m in range(1, 7)
         for i in range(1, m + 1)
     ]
+
+    # D1-SPLIT and INNER-PRODUCT read the same power-of-two widths on
+    # their formula side, and width 12 on their engine side.
+    widths = (1, 2, 4, 8, 16, 12)
+    for identity, family, start in (("D1-SPLIT", "di_table", (1,)),
+                                    ("INNER-PRODUCT", "d_table", ())):
+        _clear_memos()
+        calls.clear()
+        run_identity(default_spec(identity))
+        assert len(calls) <= 36
+        assert set(calls) == {
+            (family, (TableDims(m, w), *start)) for m in range(1, 7) for w in widths
+        }
 
     # H(n, m) and I_m(n) are column sums of tables built once per m, not
     # a prefix-sum table or a march per (m, n).
