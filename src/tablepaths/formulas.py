@@ -74,8 +74,10 @@ def a_closed(s: int, t: int) -> int:
 def d1_via_a(s: int, t: int) -> int:
     """Start-row-1 count via its two-letter reduction.
 
-    D1(s,t) = sum_{i=0}^{(s-t)//2} C(s-1, s-t-2i) * A(t+2i, t); exact in
-    any table with at least s rows (no wall can bind).
+    D1(s,t) = sum_{i=0}^{(s-t)//2} C(s-1, s-t-2i) * A(t+2i, t) counts
+    paths with no top wall, so it is the m-row D1(s,t) exactly when
+    s + t <= 2m + 1: reaching row m + 1 and coming down to row t takes
+    2m + 1 - t steps, and s - 1 are taken.
     """
     if s < 1 or t < 1:
         raise ValueError("s and t must be positive")
@@ -89,7 +91,8 @@ def d1_closed(s: int, t: int) -> int:
     """Fully expanded form of :func:`d1_via_a`.
 
     D1(s,t) = sum_{i} (t/(t+i)) * C(s-1, s-t-2i) * C(t+2i-1, i); each
-    term divides exactly.
+    term divides exactly.  Exact in an m-row table when s + t <= 2m + 1,
+    as :func:`d1_via_a` is.
     """
     if s < 1 or t < 1:
         raise ValueError("s and t must be positive")
@@ -140,6 +143,9 @@ def _leaks(m: int, span: int, free, *walls: tuple[int, int, int]) -> int:
 def _h_square_value(n: int, m: int) -> int:
     # Unguarded evaluator for calibration past m <= n <= 2m.  D(n, n) =
     # H(n, n) totals D^1 column n of an n-row table: d1_closed is exact.
+    # The result is H(n, m) exactly when n <= 2m + 1: the free tail after
+    # a top leak needs m + 1 more steps to reach row 0, where the
+    # bottom-walled D(n, n) no longer counts it.
     free = sum(d1_closed(n, t) for t in range(1, n + 1))
     return free - _leaks(m, n - 1, pow, (m, m, 3))
 
@@ -149,7 +155,8 @@ def h_via_square(n: int, m: int) -> int:
     corrections.
 
     H(n, m) = D(n, n) - sum_{i=m}^{n-1} 3^(n-i-1) * D1(i, m), with the
-    D1 factors confined to the m-row table.  Declared domain m <= n <= 2m.
+    D1 factors confined to the m-row table.  Declared domain m <= n <= 2m;
+    the identity holds for every n <= 2m + 1.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -260,15 +267,6 @@ def s_free_printed(x: int, y: int) -> int:
     return _s_free(x, y, pinned=True)
 
 
-def _s2_value(dims: TableDims, start: Cell, end: Cell) -> int:
-    # Unguarded evaluator: the verify registry's S2 row calls it when
-    # calibration probes past the declared window.
-    m, span = dims.rows, end.col - start.col
-    walls = (start.row, 1, end.row), (m + 1 - start.row, 1, m + 1 - end.row)
-    unbounded = s_free_closed(end.row - start.row, span)
-    return unbounded - _leaks(m, span, s_free_closed, *walls)
-
-
 def s2_closed(dims: TableDims, start: Cell, end: Cell) -> int:
     """Bounded pair count as a free count minus one first-leak
     convolution per wall.
@@ -278,18 +276,15 @@ def s2_closed(dims: TableDims, start: Cell, end: Cell) -> int:
 
     where L is the column span, r0/r1 the start/end rows, the D1
     factors are confined to the m-row table and k indexes the column
-    where a leaking path is outside for the first time.  The declared
-    domain is L <= rows + 1, on which no path can leave through both
-    walls.
+    where a leaking path is outside for the first time.  Each leaking
+    path is counted once, at its first exit, and any walk may follow
+    it, so the split is exact for every span.
     """
     check_pair(dims, start, end)
-    span = end.col - start.col
-    if span > dims.rows + 1:
-        raise ValueError(
-            f"column span {span} exceeds declared domain rows+1 = "
-            f"{dims.rows + 1}"
-        )
-    return _s2_value(dims, start, end)
+    m, span = dims.rows, end.col - start.col
+    walls = (start.row, 1, end.row), (m + 1 - start.row, 1, m + 1 - end.row)
+    unbounded = s_free_closed(end.row - start.row, span)
+    return unbounded - _leaks(m, span, s_free_closed, *walls)
 
 
 def motzkin_number(k: int) -> int:

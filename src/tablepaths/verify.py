@@ -103,8 +103,8 @@ def _s_free(hi, fn, y, xs):
 
 
 def _s2(hi, fn, m, span, r0, ends):
-    # Column span + 1 from (1, r0); only the window bounds span in a suite.
-    table = dp.cached("di_table", m, hi.get("span", m + 1) + 1, r0)
+    # Column span + 1 from (1, r0): one table per (m, r0), m + 2 wide.
+    table = dp.cached("di_table", m, m + 2, r0)
     dims, start = TableDims(m, span + 1), Cell(1, r0)
     rhs = [fn(dims, start, Cell(span + 1, r1)) for r1 in ends]
     return _rows(table.column(span + 1), ends), rhs
@@ -175,10 +175,9 @@ _REGISTRY: dict[str, _Identity] = {
     "S-FREE": _Identity(_YX, _s_free, {"y": 10}, PASS, "s_free_closed"),
     "S-FREE-PRINTED": _Identity(_YX, _s_free, {"y": 10}, _DOC, "s_free_printed"),
     "S2": _Identity(
-        (_M, _axis("span", 0), _axis("r0", upto="m"), _axis("r1", upto="m")),
+        (_M, ("span", lambda p: (0, p["m"] + 1)), _axis("r0", upto="m"),
+         _axis("r1", upto="m")),
         _s2, {"m": 5}, PASS, "s2_closed",
-        ("span", lambda p: (0, p["m"] + 1), "_s2_value"),
-        (("m", (1, 4)), ("span", (0, 8))),
     ),
     "MOTZKIN-EDGE": _Identity((_S,), _motzkin, {"s": 8}, PASS, "motzkin_number"),
     "CATALAN-EDGE": _Identity(

@@ -235,13 +235,14 @@ def test_value_memos_never_skip_a_check():
     for dims in (TableDims(2, 3), TableDims(2, 5)):
         assert d_boundary(dims, 3, 1) == 4
         assert d_boundary_printed(dims, 3, 1) == 8
-    # Free counts the S2 window has filled still leave every check in place.
+    # Free counts and D^1 rows a wide S2 call has filled, none keyed on the
+    # width, still leave the narrow table's pair-range check in place.
     dims = TableDims(2, 8)
-    assert s2_closed(dims, Cell(1, 1), Cell(4, 1)) == bounded_pair_count(
-        dims, Cell(1, 1), Cell(4, 1)
+    assert s2_closed(dims, Cell(1, 1), Cell(5, 1)) == bounded_pair_count(
+        dims, Cell(1, 1), Cell(5, 1)
     )
-    with pytest.raises(ValueError, match=r"exceeds declared domain rows\+1 = 3"):
-        s2_closed(dims, Cell(1, 1), Cell(5, 1))
+    with pytest.raises(ValueError, match=r"cell \(5,1\) outside 2x4 table"):
+        s2_closed(TableDims(2, 4), Cell(1, 1), Cell(5, 1))
     assert s_free_closed(0, 1) == 1
     with pytest.raises(ValueError, match="y must be nonnegative"):
         s_free_closed(0, -1)
@@ -326,12 +327,46 @@ def test_s2_closed_examples():
 
 def test_s2_closed_domain_errors():
     dims = TableDims(2, 8)
-    with pytest.raises(ValueError):
-        s2_closed(dims, Cell(1, 1), Cell(5, 1))  # span 4 > rows + 1
+    # Span 4 > rows + 1 is inside the domain: only the pair range refuses.
+    assert s2_closed(dims, Cell(1, 1), Cell(5, 1)) == bounded_pair_count(
+        dims, Cell(1, 1), Cell(5, 1)
+    )
     with pytest.raises(ValueError):
         s2_closed(dims, Cell(3, 1), Cell(1, 1))
     with pytest.raises(ValueError):
         s2_closed(dims, Cell(1, 3), Cell(2, 1))
+
+
+@pytest.mark.parametrize(
+    "count, max_m, max_span",
+    [(bounded_pair_count, 8, 40), (brute_pair_count, 3, 13)],
+    ids=["engine", "oracle"],
+)
+def test_s2_closed_exact_on_every_span(count, max_m, max_span):
+    # Each correction counts a leaking path at its first exit and a free
+    # walk follows, so spans far past rows + 1 hold too: 8,364 cases
+    # against the engine, and 196 whose every word the oracle lists.
+    for m in range(1, max_m + 1):
+        for span in range(max_span + 1):
+            dims = TableDims(m, span + 1)
+            for r0 in range(1, m + 1):
+                for r1 in range(1, m + 1):
+                    start, end = Cell(1, r0), Cell(span + 1, r1)
+                    assert s2_closed(dims, start, end) == count(dims, start, end)
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_reach_bounds_are_the_true_domains(m):
+    # d1_closed and d1_via_a count paths with no top wall: exact exactly
+    # when s + t <= 2m + 1, below the reach of row m + 1.  H-SQUARE's
+    # free tail after a top leak reaches row 0 past n = 2m + 1.
+    d1 = di_table(TableDims(m, 29), 1)
+    for s in range(1, 30):
+        column = d1.column(s)
+        for t in range(1, m + 1):
+            assert (d1_closed(s, t) == column[t - 1]) is (s + t <= 2 * m + 1)
+            assert (d1_via_a(s, t) == column[t - 1]) is (s + t <= 2 * m + 1)
+        assert (formulas._h_square_value(s, m) == sum(column)) is (s <= 2 * m + 1)
 
 
 def test_motzkin_recurrence_values():
