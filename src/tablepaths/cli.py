@@ -132,7 +132,7 @@ def _decimal(value: int) -> str:
     not meet."""
     try:
         return str(value)
-    except ValueError:  # only from 3.10.7 on, which has the limit's getter
+    except ValueError:  # the int->str limit, in every supported Python
         limit = sys.get_int_max_str_digits()
         raise ValueError(f"a value has more than {limit} decimal digits, "
                          "past the int->str conversion limit") from None

@@ -24,16 +24,17 @@ virtual rows 0 and rows+1 are never stored.
 
 A pair count reflects instead: ``bounded_pair_count`` cuts the strip to
 the rows its walk can reach (``pair_strip``), and reflection in the walls
-makes its count a difference of two walk counts on the cycle Z/(2m + 2),
-which ``_cycle_walks`` gets by splitting each walk at its middle column.
+makes its count a difference of two walk counts on the cycle Z/(2m + 2).
+``_cycle_walks`` gets that difference from the column at the walk's middle,
+squared up a ladder from a short march, and one contraction at the top.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from functools import lru_cache
 from itertools import accumulate
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, Iterator
 
 from .core import Cell, CountMatrix, TableDims, check_pair
@@ -196,17 +197,45 @@ def hss_values(columns: Iterable) -> list:
     return list(map(sum, columns))
 
 
-def _cycle_walks(n: int, steps: int, ends: Iterable[int]) -> list[int]:
-    """Walks of ``steps`` steps from 0 to each of ``ends`` on the cycle Z/n,
-    n even: those of the first ``steps // 2`` steps (``half``, recursing from
-    n^2 on) convolved with the rest.  A column keeps only its entries 0..n/2,
-    as walks to j and to -j are equal in number."""
-    h = steps // 2
-    half = (_cycle_walks(n, h, range(n // 2 + 1)) if h >= n * n
-            else _last(_march(_unit_column(n // 2 + 1, 1), h + 1, _advance_cycle)))
-    other = _advance_cycle(half) if steps % 2 else half
-    half, other = half + half[-2:0:-1], other + other[-2:0:-1]
-    return [sum(map(mul, half, other[e::-1] + other[:e:-1])) for e in ends]
+def _squared_from(n: int) -> int:
+    """The fewest steps whose column on Z/n is squared, not marched: about
+    2n, until the n^2/8 products of a square outweigh the steps (measured)."""
+    return n * (2 + n * n // 8192)
+
+
+def _square_plan(n: int) -> list[tuple[int, int, list[tuple[int, int]]]]:
+    """Each pair a <= b of a half column's entries on Z/n, with the entries k
+    of its circular square that its product feeds, each as many times as
+    x = ±a and y = ±b meet at x + y = k, twice that if a < b."""
+    def meets(a, b):
+        return Counter((x + y) % n for x in {a, -a % n} for y in {b, -b % n})
+    return [(a, b, [(k, c << (a < b)) for k, c in meets(a, b).items() if k <= n // 2])
+            for b in range(n // 2 + 1) for a in range(b + 1)]
+
+
+def _cycle_walks(n: int, steps: int, end: int, image: int) -> int:
+    """Walks of ``steps`` steps from 0 to ``end`` on the cycle Z/n, n even,
+    less those to ``image``.  A column keeps its entries 0..n/2, as walks to
+    j and to -j are equal in number.  The column after h = steps // 2 steps
+    is marched while short, else squared: the column after 2k (+1) steps is
+    the circular square of the one after k (then one march step).  The top
+    contracts it once with the rest of each walk, both ends in one weight."""
+    h, half = steps // 2, n // 2
+    levels = (h // _squared_from(n)).bit_length()
+    col = _last(_march(_unit_column(half + 1, 1), (h >> levels) + 1, _advance_cycle))
+    plan = _square_plan(n) if levels else []
+    for level in reversed(range(levels)):
+        square = [0] * len(col)
+        for a, b, feeds in plan:  # each product is added where it feeds, then dropped
+            p = col[a] * col[b]
+            for k, c in feeds:
+                square[k] += c * p
+        col = _advance_cycle(square) if h >> level & 1 else square
+    rest = _advance_cycle(col) if steps % 2 else col
+    rest = rest + rest[-2:0:-1]  # all n entries; rest[e - i] walks from i to e
+    weights = [*map(sub, *(rest[e::-1] + rest[:e:-1] for e in (end, image)))]
+    folded = map(add, weights[:half + 1], [0, *weights[:half:-1], 0])  # i and -i
+    return sum(map(mul, col, folded))
 
 
 def pair_strip(dims: TableDims, start: Cell, end: Cell) -> tuple[int, int]:
@@ -228,8 +257,7 @@ def bounded_pair_count(dims: TableDims, start: Cell, end: Cell) -> int:
     if high - low == 1:  # two rows: each step but the last has two choices
         return 1 << (steps - 1)
     r0, r1 = start.row - low + 1, end.row - low + 1
-    up, across = _cycle_walks(2 * (high - low + 2), steps, (abs(r1 - r0), r1 + r0))
-    return up - across
+    return _cycle_walks(2 * (high - low + 2), steps, abs(r1 - r0), r1 + r0)
 
 
 def imn(dims: TableDims) -> int:
@@ -254,4 +282,4 @@ def free_count(net: int, steps: int) -> int:
         raise ValueError("steps must be nonnegative")
     if abs(net) > steps:
         return 0
-    return _cycle_walks(2 * steps + 2, steps, (abs(net),))[0]
+    return _cycle_walks(2 * steps + 2, steps, abs(net), steps + 1)  # out of reach

@@ -161,14 +161,31 @@ def test_bounded_pair_count_short_spans():
 
 @pytest.mark.parametrize("m", range(1, 6))
 def test_bounded_pair_count_at_the_split_threshold(m):
-    # Half-lengths n^2 - 1 (marched) and n^2 (split again), odd and even
-    # spans, from and to both walls; the cycle has n = 2(m + 1) rows.
-    n = 2 * (m + 1)
-    for steps in (2 * n * n - 2, 2 * n * n - 1, 2 * n * n, 2 * n * n + 1):
+    # Half walks one step short of the kernel's threshold (marched) and at
+    # it (squared once), odd and even spans, from and to both walls; the
+    # cycle has n = 2(m + 1) rows.
+    first = dp._squared_from(2 * (m + 1))
+    for steps in (2 * first - 2, 2 * first - 1, 2 * first, 2 * first + 1):
         dims = TableDims(m, steps + 1)
         for r0 in {1, m}:
             column = di_table(dims, r0).column(steps + 1)
             for r1 in {1, m}:
+                got = bounded_pair_count(dims, Cell(1, r0), Cell(steps + 1, r1))
+                assert got == column[r1 - 1], (steps, r0, r1)
+
+
+@pytest.mark.parametrize("m", range(3, 8))
+def test_bounded_pair_count_up_the_squaring_ladder(m):
+    # Spans 4T..4T+3 square twice above the march (T the kernel's
+    # threshold), with every parity of (L, L // 2); 8T + 11 squares three
+    # times, with an odd step on the first and last.  Every start and end
+    # row, against the last column of the marched table.
+    first = dp._squared_from(2 * (m + 1))
+    for steps in (*range(4 * first, 4 * first + 4), 8 * first + 11):
+        dims = TableDims(m, steps + 1)
+        for r0 in range(1, m + 1):
+            column = dp._last(dp.columns("di_table", m, steps + 1, r0))
+            for r1 in range(1, m + 1):
                 got = bounded_pair_count(dims, Cell(1, r0), Cell(steps + 1, r1))
                 assert got == column[r1 - 1], (steps, r0, r1)
 
@@ -204,10 +221,10 @@ def test_bounded_pair_count_on_two_rows_is_a_power_of_two():
         low = min(r0, m - 1)
         for r1 in (low, low + 1):
             a, b = r0 - low + 1, r1 - low + 1
-            up, across = dp._cycle_walks(6, steps, (abs(b - a), a + b))
+            walks = dp._cycle_walks(6, steps, abs(b - a), a + b)
             dims = TableDims(m, steps + 1)
             got = bounded_pair_count(dims, Cell(1, r0), Cell(steps + 1, r1))
-            assert got == up - across == 1 << (steps - 1), (m, r0, steps, r1)
+            assert got == walks == 1 << (steps - 1), (m, r0, steps, r1)
 
 
 def test_imn_examples():
