@@ -9,8 +9,9 @@ Conventions used everywhere in this package:
 * Counts are plain Python ``int`` values (arbitrary precision) and are
   never negative.
 
-All values here are immutable after construction (``LatticeWord`` and
-``CountMatrix`` by convention) and safe to share across threads.
+Values are read-only ``_Value``s, the tables ``dp.cached`` shares too:
+equal and hashed by fields within their class, copied and pickled by calling
+the class again.  ``LatticeWord`` alone is read-only by convention only.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ STEP_RISE = {"u": 1, "r": 0, "d": -1}
 
 
 class _Value:
-    """A slotted, immutable value: equal to, and hashed as, a value of its
-    own class with equal ``_fields``, and shown as ``Name(field=value, ...)``.
+    """A slotted, read-only value: equal to, and hashed as, a value of its
+    own class with equal ``_fields``; copied, deep-copied and pickled by
+    calling its class on them again; shown as ``Name(field=value, ...)``.
     ``__init__`` sets the fields through ``_set``, or through the slots'
     own setters where construction is hot (``TableDims``, ``Cell``)."""
 
@@ -46,6 +48,9 @@ class _Value:
 
     def __hash__(self) -> int:
         return hash(self._key())
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._key()
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -133,14 +138,14 @@ def row_trace(word: LatticeWord) -> tuple[int, ...]:
     return tuple(rows)
 
 
-class CountMatrix:
-    """Immutable (col, row)-indexed matrix of nonnegative ``int`` counts.
+class CountMatrix(_Value):
+    """Read-only (col, row)-indexed matrix of nonnegative ``int`` counts.
 
     Indexing is 1-based: ``get(s, t)`` is the value at column s, row t.
     The matrix is fully populated over its declared rectangle.
     """
 
-    __slots__ = ("dims", "_cols")
+    __slots__ = _fields = ("dims", "_cols")
 
     def __init__(self, dims: TableDims, columns: Sequence[Sequence[int]]):
         # Each check is one pass in C.
@@ -151,8 +156,7 @@ class CountMatrix:
             raise ValueError("counts must be ints")
         if min(map(min, cols)) < 0:
             raise ValueError("counts must be nonnegative")
-        self.dims = dims
-        self._cols = cols
+        self._set(dims, cols)
 
     def get(self, col: int, row: int) -> int:
         check_cell(self.dims, col, row)
@@ -163,11 +167,6 @@ class CountMatrix:
         if not 1 <= col <= self.dims.cols:
             raise ValueError(f"column {col} outside table")
         return self._cols[col - 1]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CountMatrix):
-            return NotImplemented
-        return self.dims == other.dims and self._cols == other._cols
 
     def __repr__(self) -> str:
         return f"CountMatrix({self.dims.rows}x{self.dims.cols})"

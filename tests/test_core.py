@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from golden_tables import table_columns
@@ -10,6 +13,7 @@ from tablepaths.core import (
     check_cell,
     row_trace,
 )
+from tablepaths import dp
 from tablepaths.dp import bounded_pair_count
 from tablepaths.formulas import s2_closed
 from tablepaths.oracle import WordFilter, brute_pair_count, enumerate_words
@@ -117,6 +121,46 @@ def test_dims_and_cell_are_frozen_values(value, fields, text):
     with pytest.raises(AttributeError):
         delattr(value, fields[0])
     assert tuple(getattr(value, name) for name in fields) == (2, 3)
+
+
+def copies(value):
+    """A shallow copy, a deep copy and a pickle round trip of ``value``."""
+    return copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
+
+
+@pytest.mark.parametrize("value", [
+    TableDims(2, 3),
+    Cell(2, 3),
+    WordFilter(alphabet="du", start_row=2, floor=1, ceiling=4, end_row=3),
+    CountMatrix(TableDims(2, 3), [[1, 2], [3, 4], [5, 6]]),
+], ids=lambda value: type(value).__name__)
+def test_every_value_is_read_only_and_copies_by_its_fields(value):
+    # Read-only like TableDims and Cell above, and every copy calls the
+    # class on the fields again, so it is an equal value of the same class.
+    for name in value._fields + ("other",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 5)
+    for name in value._fields:
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    for copied in copies(value):
+        assert type(copied) is type(value) and copied == value
+        assert hash(copied) == hash(value)
+
+
+def test_words_copy_with_their_trace():
+    listed = list(enumerate_words(3, WordFilter(start_row=2, floor=1, ceiling=3)))
+    for word in [LatticeWord("urd", 5)] + listed:
+        for copied in copies(word):
+            assert type(copied) is LatticeWord and copied == word
+            assert copied.trace == word.trace
+
+
+def test_shared_tables_refuse_assignment():
+    table = dp.cached("di_table", 3, 4, 1)
+    with pytest.raises(AttributeError, match="^CountMatrix.dims is read-only$"):
+        table.dims = TableDims(9, 9)
+    assert table.dims == TableDims(3, 4) and table is dp.cached("di_table", 3, 4, 1)
 
 
 def test_count_matrix_shape_and_access():
