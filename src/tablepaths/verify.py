@@ -10,15 +10,19 @@ Each identity is one ``_REGISTRY`` row, walked alike by the suite and
 by calibration: its axes in grid order, with bounds that may depend on
 earlier axes (t <= s, x in -y..y); its declared window, if any, which
 the suite applies and calibration probes past with an unguarded
-evaluator; a ``sides`` function giving, for one prefix of the outer
-axes, the line of engine values and formula values over the last axis;
-its default domain and expected verdict; and, if it can be calibrated,
-a search box.  Engine tables come from ``dp.cached``, the table memo
-the closed forms read too, at the run's upper bounds.  A formula is
-looked up by name once per walk, so one wrapped before a run sees every
-call, and each call runs its own argument checks; ``formulas``
-answers repeated D-BOUNDARY and free-count values from its own bounded
-value memos.
+evaluator; how many trailing axes it walks as one box, which they can
+be when their bounds come only from outer axes (1, a line over the last
+axis, unless set); a ``sides`` function giving, for one point of the
+outer axes, the engine values and formula values over that box, each
+flattened row-major; its default domain and expected verdict; and, if
+it can be calibrated, a search box.  A box holds references to at most
+max-m x max-n values, the size of the engine table the row reads
+anyway.  Engine tables come from ``dp.cached``, the table memo the
+closed forms read too, at the run's upper bounds.  A formula is looked
+up by name once per walk, so one wrapped before a run sees every call,
+and each call runs its own argument checks; ``formulas`` answers
+repeated D-BOUNDARY and free-count values from its own bounded value
+memos.
 
 Identity ids ending in ``-PRINTED`` evaluate deliberately retained
 wrong variants; the suite expects those to fail and marks them
@@ -28,7 +32,9 @@ integer equality; there are no tolerances anywhere.
 
 from __future__ import annotations
 
-from math import inf
+from functools import lru_cache
+from itertools import chain, islice, product
+from math import inf, prod
 from operator import ne
 from typing import Callable, Mapping, NamedTuple, Optional
 
@@ -87,9 +93,10 @@ def _d1_split(hi, fn, m, n, ss):
     return [truth] * len(ss), [fn(n, m, s) for s in ss]
 
 
-def _d_boundary(hi, fn, m, n, s, ts):
+def _d_boundary(hi, fn, m, n, ss, ts):
     dims, table = TableDims(m, n), dp.cached("d_table", m, hi["n"])
-    return _rows(table.column(s), ts), [fn(dims, s, t) for t in ts]
+    lhs = [v for s in ss for v in _rows(table.column(s), ts)]
+    return lhs, [fn(dims, s, t) for s in ss for t in ts]
 
 
 def _inner_product(hi, fn, m, n, cols):  # I_m(n) sums column n of D
@@ -102,12 +109,13 @@ def _s_free(hi, fn, y, xs):
     return [dp.free_count(x, y) for x in xs], [fn(x, y) for x in xs]
 
 
-def _s2(hi, fn, m, span, r0, ends):
+def _s2(hi, fn, m, span, starts, ends):
     # Column span + 1 from (1, r0): one table per (m, r0), m + 2 wide.
-    table = dp.cached("di_table", m, m + 2, r0)
-    dims, start = TableDims(m, span + 1), Cell(1, r0)
-    rhs = [fn(dims, start, Cell(span + 1, r1)) for r1 in ends]
-    return _rows(table.column(span + 1), ends), rhs
+    lhs = [v for r0 in starts
+           for v in _rows(dp.cached("di_table", m, m + 2, r0).column(span + 1), ends)]
+    dims, stops = TableDims(m, span + 1), [Cell(span + 1, r1) for r1 in ends]
+    cells = [Cell(1, r0) for r0 in starts]
+    return lhs, [fn(dims, start, stop) for start in cells for stop in stops]
 
 
 def _motzkin(hi, fn, ss):
@@ -120,11 +128,20 @@ def _catalan(hi, fn, ks):
     return [a.get(2 * k + 1, 1) for k in ks], [fn(k) for k in ks]
 
 
-def _flip(hi, fn, m, i, n, s, ts):
-    # Both sides are engine tables: start row m + 1 - i read upside down.
-    up = dp.cached("di_table", m, hi["n"], i).column(s)
-    down = dp.cached("di_table", m, hi["n"], m + 1 - i).column(s)[::-1]
-    return _rows(up, ts), _rows(down, ts)
+@lru_cache(maxsize=1)  # one (m, i) block at a time, read by every n
+def _flip_entries(m, width, i):
+    # Start rows i and m + 1 - i column by column, the second upside down.
+    up, down = (dp.cached("di_table", m, width, r).column for r in (i, m + 1 - i))
+    cols = range(1, width + 1)
+    return (tuple(chain.from_iterable(map(up, cols))),
+            tuple(chain.from_iterable(c[::-1] for c in map(down, cols))))
+
+
+def _flip(hi, fn, m, i, n, ss, ts):
+    # No window or search box cuts s or t, so the box is the first n
+    # columns, whole: the first m * n entries of each side.
+    up, down = _flip_entries(m, hi["n"], i)
+    return up[: m * n], down[: m * n]
 
 
 def _reversal(hi, fn, ns):
@@ -139,12 +156,13 @@ def _axis(name: str, lo: int = 1, upto: str = "") -> tuple:
 
 class _Identity(NamedTuple):
     axes: tuple  # (name, bounds) in grid order
-    sides: Callable  # (upper bounds, formula, outer values..., line) -> lines
+    sides: Callable  # (upper bounds, formula, outer values..., box ranges...) -> sides
     domain: dict  # axis -> default cap
     expected: str
     formula: str = ""  # the ``formulas`` attribute the suite checks
     window: tuple = ()  # (axis, bounds, unguarded evaluator checked past it)
     search: tuple = ()  # (axis, (lo, hi)) in shrink order
+    box_axes: int = 1  # trailing axes walked as one box; bounds from outer axes only
 
 
 _M, _N, _S = _axis("m"), _axis("n"), _axis("s")
@@ -165,9 +183,11 @@ _REGISTRY: dict[str, _Identity] = {
         (("m", (1, 5)), ("n", (1, 12))),
     ),
     "D1-SPLIT": _Identity(_MNS, _d1_split, _MN, PASS, "d1_split"),
-    "D-BOUNDARY": _Identity(_MNST, _d_boundary, _MN, PASS, "d_boundary", search=_D_BOX),
+    "D-BOUNDARY": _Identity(
+        _MNST, _d_boundary, _MN, PASS, "d_boundary", search=_D_BOX, box_axes=2
+    ),
     "D-BOUNDARY-PRINTED": _Identity(
-        _MNST, _d_boundary, _MN, _DOC, "d_boundary_printed", search=_D_BOX
+        _MNST, _d_boundary, _MN, _DOC, "d_boundary_printed", search=_D_BOX, box_axes=2
     ),
     "INNER-PRODUCT": _Identity(
         (_M, _N, _axis("a", upto="n")), _inner_product, _MN, PASS, "i_inner"
@@ -177,7 +197,7 @@ _REGISTRY: dict[str, _Identity] = {
     "S2": _Identity(
         (_M, ("span", lambda p: (0, p["m"] + 1)), _axis("r0", upto="m"),
          _axis("r1", upto="m")),
-        _s2, {"m": 5}, PASS, "s2_closed",
+        _s2, {"m": 5}, PASS, "s2_closed", box_axes=2,
     ),
     "MOTZKIN-EDGE": _Identity((_S,), _motzkin, {"s": 8}, PASS, "motzkin_number"),
     "CATALAN-EDGE": _Identity(
@@ -185,7 +205,7 @@ _REGISTRY: dict[str, _Identity] = {
     ),
     "FLIP-SYMMETRY": _Identity(  # order m, i, n, s, t: an (m, i) block reads two tables
         (_M, _axis("i", upto="m"), _N, _axis("s", upto="n"), _axis("t", upto="m")),
-        _flip, _MN, PASS,
+        _flip, _MN, PASS, box_axes=2,
     ),
     "REVERSAL": _Identity((_N,), _reversal, {"n": 10}, PASS),
 }
@@ -200,27 +220,32 @@ def _row(identity: str) -> _Identity:
 
 
 def _lines(row: _Identity, box: Mapping):
-    """(outer point, last-axis range, engine line, formula line) for each
-    nonempty line of the grid in ``box`` (axis -> (lo, hi)), cut to the
-    row's window, in grid order."""
+    """(outer point, box ranges, engine values, formula values) for each
+    nonempty box of the row's trailing axes in the grid ``box`` (axis ->
+    (lo, hi)), cut to the row's window, in grid order; both sides are
+    flattened row-major over the box's ranges."""
     upper = {axis: hi for axis, (_, hi) in box.items()}
     fn = getattr(formulas, row.formula) if row.formula else None  # patches apply
     window = dict([row.window[:2]]) if row.window else {}
     # A window lies within its axis's bounds, so it stands in for them.
     cuts = [(a, window.get(a, b), *box.get(a, (-inf, inf))) for a, b in row.axes]
-    point: dict[str, int] = {}
+    outer, point = len(cuts) - row.box_axes, {}
+
+    def values(cut) -> range:
+        _, bounds, blo, bhi = cut
+        lo, hi = bounds(point)
+        return range(max(lo, blo), min(hi, bhi) + 1)
 
     def walk(k):
-        name, bounds, blo, bhi = cuts[k]
-        lo, hi = bounds(point)
-        values = range(max(lo, blo), min(hi, bhi) + 1)
-        if k + 1 < len(cuts):
-            for value in values:
-                point[name] = value
+        if k < outer:
+            for value in values(cuts[k]):
+                point[cuts[k][0]] = value
                 yield from walk(k + 1)
-        elif values:
+            return
+        ranges = tuple(map(values, cuts[outer:]))
+        if all(ranges):
             prefix = tuple(point.values())
-            yield (prefix, values, *row.sides(upper, fn, *prefix, values))
+            yield (prefix, ranges, *row.sides(upper, fn, *prefix, *ranges))
 
     return walk(0)
 
@@ -256,13 +281,14 @@ def run_identity(spec: IdentitySpec) -> IdentityReport:
     row, dom = _row(spec.identity), dict(spec.domain)
     box = {axis: (-inf, dom[axis]) for axis in row.domain}
     cases, failures, first = 0, 0, None
-    for prefix, values, lhs, rhs in _lines(row, box):
-        cases += len(values)
+    for prefix, ranges, lhs, rhs in _lines(row, box):
+        cases += prod(map(len, ranges))
         bad = sum(map(ne, lhs, rhs))
         failures += bad
         if bad and first is None:
-            k = next(k for k in range(len(values)) if lhs[k] != rhs[k])
-            params = tuple(zip(dict(row.axes), (*prefix, values[k])))
+            k = next(k for k in range(len(lhs)) if lhs[k] != rhs[k])
+            point = next(islice(product(*ranges), k, None))
+            params = tuple(zip(dict(row.axes), (*prefix, *point)))
             first = Counterexample(params, lhs[k], rhs[k])
     if spec.expected == PASS:
         verdict = PASS if failures == 0 and cases > 0 else FAIL
@@ -312,9 +338,9 @@ def calibrate_domain(
     names = [name for name, _ in row.axes]
     probe = row._replace(formula=row.window[2], window=()) if row.window else row
     fails = [  # every failing point of the declared box, walked once
-        dict(zip(names, (*prefix, v)))
-        for prefix, values, lhs, rhs in _lines(probe, declared)
-        for v, a, b in zip(values, lhs, rhs)
+        dict(zip(names, (*prefix, *point)))
+        for prefix, ranges, lhs, rhs in _lines(probe, declared)
+        for point, a, b in zip(product(*ranges), lhs, rhs)
         if a != b
     ]
 

@@ -3,9 +3,9 @@ import sys
 
 import pytest
 
-from tablepaths import dp, formulas
+from tablepaths import dp, formulas, verify
 from tablepaths.cli import CAP_AXES, _render_verify_json
-from tablepaths.core import TableDims
+from tablepaths.core import CountMatrix, TableDims
 from tablepaths.verify import (
     IDENTITY_IDS,
     IdentitySpec,
@@ -105,6 +105,68 @@ def test_first_counterexample_is_first_in_its_line(monkeypatch):
     assert ce.rhs == ce.lhs + 1 == real(3, 2) + 1
 
 
+def _first_in_axis_order(grid, lhs, rhs):
+    """(params, lhs, rhs) of the first failing point of ``grid``, a list
+    of axis-value dicts in axis order, found by a plain loop."""
+    for point in grid:
+        if lhs(point) != rhs(point):
+            return tuple(point.items()), lhs(point), rhs(point)
+    return None
+
+
+def test_box_failures_unravel_in_grid_order(monkeypatch):
+    # Two wrong D-BOUNDARY values in one (s, t) box: the later one has the
+    # larger s but the smaller t, so an unravel in the wrong axis order
+    # would report it first.
+    real = formulas.d_boundary
+    bad = {(4, 7, 5, 3), (4, 7, 6, 2)}
+    monkeypatch.setattr(formulas, "d_boundary", lambda dims, s, t: real(dims, s, t)
+                        + ((dims.rows, dims.cols, s, t) in bad))
+    rep = run_identity(default_spec("D-BOUNDARY"))
+    assert rep.failures == 2 and rep.cases_checked == 1638
+    grid = [{"m": m, "n": n, "s": s, "t": t} for m in range(1, 7)
+            for n in range(1, 13) for s in range(1, n + 1) for t in range(1, m + 1)]
+    expected = _first_in_axis_order(
+        grid,
+        lambda p: dp.cached("d_table", p["m"], 12).get(p["s"], p["t"]),
+        lambda p: formulas.d_boundary(TableDims(p["m"], p["n"]), p["s"], p["t"]),
+    )
+    assert tuple(rep.first_counterexample) == expected
+    assert dict(expected[0]) == {"m": 4, "n": 7, "s": 5, "t": 3}
+
+    # One wrong engine entry, D^2(7, 3) at m = 4, in the last column, so
+    # only n = 7 reads it: once as D^2(s, t) and once flipped, as the
+    # other side of D^3(7, 2).
+    monkeypatch.undo()
+    real_cached = dp.cached
+
+    def planted(family, *args):
+        table = real_cached(family, *args)
+        if (family, *args) != ("di_table", 4, 7, 2):
+            return table
+        cols = [list(table.column(s)) for s in range(1, 8)]
+        cols[6][2] += 1
+        return CountMatrix(table.dims, cols)
+
+    _clear_memos()
+    monkeypatch.setattr(dp, "cached", planted)
+    rep = run_identity(default_spec("FLIP-SYMMETRY", {"m": 5, "n": 7}))
+    monkeypatch.undo()
+    _clear_memos()
+    assert rep.failures == 2 and rep.verdict == "FAIL"
+    grid = [{"m": m, "i": i, "n": n, "s": s, "t": t} for m in range(1, 6)
+            for i in range(1, m + 1) for n in range(1, 8)
+            for s in range(1, n + 1) for t in range(1, m + 1)]
+    expected = _first_in_axis_order(
+        grid,
+        lambda p: planted("di_table", p["m"], 7, p["i"]).get(p["s"], p["t"]),
+        lambda p: planted("di_table", p["m"], 7, p["m"] + 1 - p["i"]).get(
+            p["s"], p["m"] + 1 - p["t"]),
+    )
+    assert tuple(rep.first_counterexample) == expected
+    assert dict(expected[0]) == {"m": 4, "i": 2, "n": 7, "s": 7, "t": 3}
+
+
 def test_restricting_printed_identity_to_passing_box_deviates():
     # On a box where the late-start variant happens to agree, the
     # documented failure cannot be confirmed, so the verdict is FAIL.
@@ -144,6 +206,24 @@ def test_axis_lower_bounds_leave_a_case_everywhere():
         assert run_identity(default_spec(identity, lowest)).cases_checked >= 1
     assert run_identity(default_spec("S-FREE", {"y": 0})).cases_checked == 1
     assert run_identity(default_spec("CATALAN-EDGE", {"k": 0})).cases_checked == 1
+    # The one-row, one-column grid: every (s, t) and (r0, r1) box holds one
+    # point, and S2 at m = 1 checks its three spans.
+    edge = {}
+    for identity in IDENTITY_IDS:
+        rep = run_identity(default_spec(identity, {"m": 1, "n": 1}))
+        edge[identity] = (rep.cases_checked, rep.failures, rep.verdict)
+    assert edge == {
+        **{i: (78, 0, "PASS") for i in ("A-CLOSED", "D1-VIA-A", "D1-CLOSED")},
+        **{i: (1, 0, "PASS") for i in (
+            "H-SQUARE", "D1-SPLIT", "D-BOUNDARY", "INNER-PRODUCT",
+            "FLIP-SYMMETRY", "REVERSAL")},
+        "D-BOUNDARY-PRINTED": (1, 0, "FAIL"),
+        "S-FREE": (121, 0, "PASS"),
+        "S-FREE-PRINTED": (121, 116, "DOCUMENTED-FAILURE-CONFIRMED"),
+        "S2": (3, 0, "PASS"),
+        "MOTZKIN-EDGE": (8, 0, "PASS"),
+        "CATALAN-EDGE": (6, 0, "PASS"),
+    }
 
 
 @pytest.mark.parametrize(
@@ -175,10 +255,10 @@ def _count_engine_builds(monkeypatch) -> list:
 
 
 def _clear_memos():
-    """Empty the table memo and every value memo in formulas, so a build
-    count starts from nothing built."""
+    """Empty the table memo and every memo in formulas and verify, so a
+    build count starts from nothing built."""
     dp.cached.cache_clear()
-    for value in vars(formulas).values():
+    for value in (*vars(formulas).values(), *vars(verify).values()):
         if hasattr(value, "cache_info"):
             value.cache_clear()
 
@@ -394,6 +474,10 @@ def test_calibrate_respects_overrides():
         ("D-BOUNDARY-PRINTED", small, (1, 1), {1: 1, 2: 1, 3: 1}),
         ("D-BOUNDARY", {"s": 1}, (1, 12), {m: 12 for m in range(1, 7)}),
         ("D-BOUNDARY", small, (1, 5), {1: 5, 2: 5, 3: 5}),
+        # An empty t range leaves the searched box empty; the failures
+        # are still found over the declared box.
+        ("D-BOUNDARY", {"t": 0}, (1, 12), {m: 12 for m in range(1, 7)}),
+        ("D-BOUNDARY-PRINTED", {"t": 0}, (1, 12), {m: 1 for m in range(1, 7)}),
     ]:
         result = calibrate_domain(identity, overrides)
         assert dict(result.axis_box)["n"] == n_box, (identity, overrides)
