@@ -111,7 +111,6 @@ def _first_in_axis_order(grid, lhs, rhs):
     for point in grid:
         if lhs(point) != rhs(point):
             return tuple(point.items()), lhs(point), rhs(point)
-    return None
 
 
 def test_box_failures_unravel_in_grid_order(monkeypatch):
